@@ -3,8 +3,8 @@
 // Microbenchmarks for the HCPA merge operator: merging identical profiles
 // (best case — every alphabet entry re-interns to an existing character),
 // merging disjoint profiles (worst case — the alphabet doubles), and
-// fanning a whole fleet of variant profiles into one dictionary (the
-// `kremlin serve` steady-state ingest path).
+// fanning a whole fleet of variant profiles into one dictionary (what
+// `kremlin merge` does over many saved profiles).
 //
 //===----------------------------------------------------------------------===//
 

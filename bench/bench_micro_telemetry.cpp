@@ -10,7 +10,6 @@
 
 #include "GBenchJson.h"
 
-#include "support/AccessLog.h"
 #include "support/Telemetry.h"
 
 #include <benchmark/benchmark.h>
@@ -95,80 +94,6 @@ void BM_HistogramRecord(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_HistogramRecord);
-
-/// The per-request span the serve path opens around every HTTP request:
-/// a scoped trace context plus a Span carrying the args the access log
-/// and Chrome trace need. This is the request-observability hot path.
-void BM_RequestSpanWithTraceContext(benchmark::State &State) {
-  telemetry::setTraceEnabled(true);
-  telemetry::TraceContext Ctx = telemetry::mintTraceContext();
-  for (auto _ : State) {
-    telemetry::ScopedTraceContext Scope(Ctx);
-    telemetry::Span S("bench.request", "serve");
-    S.arg("method", "POST");
-    S.arg("path", "/ingest");
-    benchmark::DoNotOptimize(&S);
-  }
-  telemetry::setTraceEnabled(false);
-  telemetry::takeTrace();
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_RequestSpanWithTraceContext);
-
-/// The disabled request path: tracing off, no context installed. The
-/// whole per-request observability envelope must collapse to the same
-/// near-zero cost as a bare disabled Span.
-void BM_RequestSpanDisabledPath(benchmark::State &State) {
-  telemetry::setTraceEnabled(false);
-  for (auto _ : State) {
-    telemetry::Span S("bench.request", "serve");
-    S.arg("method", "POST");
-    benchmark::DoNotOptimize(&S);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_RequestSpanDisabledPath);
-
-/// Strict traceparent validation, as run once per inbound request that
-/// carries the header.
-void BM_TraceparentParse(benchmark::State &State) {
-  telemetry::TraceContext Ctx = telemetry::mintTraceContext();
-  std::string Header = telemetry::formatTraceparent(Ctx);
-  for (auto _ : State) {
-    telemetry::TraceContext Parsed;
-    bool Ok = telemetry::parseTraceparent(Header, Parsed);
-    benchmark::DoNotOptimize(Ok);
-    benchmark::DoNotOptimize(&Parsed);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_TraceparentParse);
-
-/// One structured access-log line: JSON formatting plus the buffered
-/// write (flushed to /dev/null), the post-response cost every logged
-/// request pays.
-void BM_AccessLogAppend(benchmark::State &State) {
-  Expected<std::unique_ptr<AccessLog>> Log = AccessLog::open("/dev/null");
-  if (!Log.ok()) {
-    State.SkipWithError("cannot open /dev/null");
-    return;
-  }
-  AccessLogEntry Entry;
-  Entry.TraceId = "0123456789abcdef0123456789abcdef";
-  Entry.Method = "POST";
-  Entry.Path = "/ingest";
-  Entry.Status = 200;
-  Entry.BytesIn = 4096;
-  Entry.BytesOut = 128;
-  Entry.QueueWaitUs = 37;
-  Entry.HandlerUs = 412;
-  Entry.Dedup = "merged";
-  for (auto _ : State)
-    Log.value()->append(Entry);
-  (void)Log.value()->close();
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_AccessLogAppend);
 
 /// A debug log call below the active level: must short-circuit before any
 /// formatting happens.

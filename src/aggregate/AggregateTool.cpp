@@ -3,28 +3,14 @@
 #include "aggregate/AggregateTool.h"
 
 #include "aggregate/ProfileMerge.h"
-#include "aggregate/ProfileService.h"
 #include "aggregate/ProfileStore.h"
-#include "aggregate/PushClient.h"
 #include "compress/TraceIO.h"
 #include "report/ProfileExport.h"
-#include "support/Http.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
-#include "support/TablePrinter.h"
 #include "support/Telemetry.h"
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <map>
-#include <memory>
-#include <thread>
-
-#include <csignal>
-#include <pthread.h>
 
 using namespace kremlin;
 using namespace kremlin::aggregate;
@@ -58,70 +44,6 @@ void printDiffUsage() {
                "style ('added'/'removed' for one-sided regions).\n");
 }
 
-void printServeUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin serve [options]\n"
-      "  --port=<n>             TCP port on 127.0.0.1 (default 0 = pick;\n"
-      "                         the chosen port is printed on startup)\n"
-      "  --threads=<n>          handler worker threads (default 4)\n"
-      "  --store=<dir>          persistent profile store: seeds the merge\n"
-      "                         on startup, named ingests are recorded\n"
-      "  --load=<p,q,...>       profiles to ingest before serving\n"
-      "  --max-profile-mb=<n>   per-upload size budget (0 = unlimited)\n"
-      "  --rows=<n>             plan-view row cap (default 25)\n"
-      "  --max-queue=<n>        bound on pending requests; beyond it the\n"
-      "                         server sheds with 503 + Retry-After\n"
-      "                         (default 0 = unbounded)\n"
-      "  --access-log=<path>    JSON-lines access log: one line per\n"
-      "                         request (trace id, status, latency, dedup\n"
-      "                         outcome) through a bounded buffered sink\n"
-      "  --trace-out=<path>     stream server-side request spans as Chrome\n"
-      "                         trace JSON (same trace ids the pushing\n"
-      "                         clients stamp their attempts with)\n"
-      "endpoints: POST /ingest (kremlin-trace body),\n"
-      "           GET /profile?format=speedscope|tree|plan|collapsed|"
-      "timeline,\n"
-      "           GET /metrics[?format=table|json|prometheus],\n"
-      "           GET /healthz (JSON status)\n"
-      "Stop with SIGINT/SIGTERM; in-flight requests drain first.\n");
-}
-
-void printPushUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin push <a.prof>... --url=http://<ipv4>[:port]\n"
-      "  --url=<url>            the `kremlin serve` endpoint (required)\n"
-      "  --retries=<n>          retries per profile after the first\n"
-      "                         attempt (default 5)\n"
-      "  --timeout-ms=<n>       per-attempt socket deadline (default\n"
-      "                         10000; 0 = none)\n"
-      "  --trace-out=<path>     stream client attempt spans as Chrome\n"
-      "                         trace JSON; every attempt carries the\n"
-      "                         push's trace id in a traceparent header\n"
-      "Uploads each profile to POST /ingest with capped jittered\n"
-      "exponential backoff on transient failures (connect errors,\n"
-      "408/429/5xx), honoring the server's Retry-After hints. Every\n"
-      "upload carries a content-hash Idempotency-Key, so a retried\n"
-      "upload whose ack was lost is acknowledged without double-merging.\n");
-}
-
-void printTopUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin top --url=http://<ipv4>[:port] [options]\n"
-      "  --url=<url>            the `kremlin serve` endpoint (required)\n"
-      "  --interval-ms=<n>      poll interval (default 2000)\n"
-      "  --once                 print one snapshot and exit (CI-friendly)\n"
-      "Polls GET /metrics?format=json and renders request rates, queue\n"
-      "depth, and per-endpoint latency (p50/p99) deltas between polls.\n");
-}
-
-/// Parses --max-profile-mb= into a byte budget.
-uint64_t mbToBytes(const std::string &Value) {
-  return std::strtoull(Value.c_str(), nullptr, 10) * 1024 * 1024;
-}
-
 } // namespace
 
 int aggregate::mergeMain(const std::vector<std::string> &Args) {
@@ -131,6 +53,7 @@ int aggregate::mergeMain(const std::vector<std::string> &Args) {
 
   for (const std::string &Arg : Args) {
     auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
+    Status FlagError;
     if (Arg.rfind("--out=", 0) == 0) {
       OutPath = Value();
     } else if (Arg.rfind("--speedscope=", 0) == 0) {
@@ -140,7 +63,7 @@ int aggregate::mergeMain(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--name=", 0) == 0) {
       Name = Value();
     } else if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      Limits.MaxBytes = mbToBytes(Value());
+      FlagError = parseUnsignedFlag(Arg, Limits.MaxBytes, 1 << 20);
     } else if (Arg == "--help" || Arg == "-h") {
       printMergeUsage();
       return 0;
@@ -150,6 +73,10 @@ int aggregate::mergeMain(const std::vector<std::string> &Args) {
       tel::logf(tel::LogLevel::Error, "merge", "unknown option '%s'",
                 Arg.c_str());
       printMergeUsage();
+      return 1;
+    }
+    if (!FlagError.ok()) {
+      tel::logError("merge", FlagError.toString());
       return 1;
     }
   }
@@ -194,6 +121,11 @@ int aggregate::mergeMain(const std::vector<std::string> &Args) {
       tel::logError("merge", Store.status().toString());
       return 1;
     }
+    if (const StoreRecovery &Rec = Store.value().recovery(); Rec.dirty()) {
+      // Operators (and the crash-recovery drill) read this line to see
+      // exactly which entries survived and which were quarantined.
+      std::printf("kremlin merge: %s\n", Rec.summary().c_str());
+    }
     if (Status St = Store.value().add(Name, Merged, OutMeta); !St.ok()) {
       tel::logError("merge", St.toString());
       return 1;
@@ -231,9 +163,9 @@ int aggregate::diffMain(const std::vector<std::string> &Args) {
   std::vector<std::string> Inputs;
   TraceReadLimits Limits;
   for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
+    Status FlagError;
     if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      Limits.MaxBytes = mbToBytes(Value());
+      FlagError = parseUnsignedFlag(Arg, Limits.MaxBytes, 1 << 20);
     } else if (Arg == "--help" || Arg == "-h") {
       printDiffUsage();
       return 0;
@@ -243,6 +175,10 @@ int aggregate::diffMain(const std::vector<std::string> &Args) {
       tel::logf(tel::LogLevel::Error, "diff", "unknown option '%s'",
                 Arg.c_str());
       printDiffUsage();
+      return 1;
+    }
+    if (!FlagError.ok()) {
+      tel::logError("diff", FlagError.toString());
       return 1;
     }
   }
@@ -263,372 +199,4 @@ int aggregate::diffMain(const std::vector<std::string> &Args) {
   std::printf("a: %s\nb: %s\n", Inputs[0].c_str(), Inputs[1].c_str());
   std::fputs(renderProfileDiff(Dicts[0], Dicts[1]).c_str(), stdout);
   return 0;
-}
-
-int aggregate::serveMain(const std::vector<std::string> &Args) {
-  http::ServerOptions ServerOpts;
-  ServiceOptions SvcOpts;
-  std::vector<std::string> LoadPaths;
-  std::string TraceOutPath;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--port=", 0) == 0) {
-      ServerOpts.Port =
-          static_cast<uint16_t>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      ServerOpts.Threads =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--store=", 0) == 0) {
-      SvcOpts.StoreDir = Value();
-    } else if (Arg.rfind("--load=", 0) == 0) {
-      for (const std::string &Tok : splitString(Value(), ','))
-        if (!Tok.empty())
-          LoadPaths.push_back(Tok);
-    } else if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      SvcOpts.MaxIngestBytes = mbToBytes(Value());
-    } else if (Arg.rfind("--rows=", 0) == 0) {
-      SvcOpts.PlanRows =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--max-queue=", 0) == 0) {
-      SvcOpts.MaxQueue =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--access-log=", 0) == 0) {
-      SvcOpts.AccessLogPath = Value();
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOutPath = Value();
-    } else if (Arg == "--help" || Arg == "-h") {
-      printServeUsage();
-      return 0;
-    } else {
-      tel::logf(tel::LogLevel::Error, "serve", "unknown option '%s'",
-                Arg.c_str());
-      printServeUsage();
-      return 1;
-    }
-  }
-  if (SvcOpts.MaxIngestBytes)
-    ServerOpts.MaxBodyBytes = SvcOpts.MaxIngestBytes;
-
-  if (!TraceOutPath.empty()) {
-    Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
-        tel::FileTraceSink::open(TraceOutPath);
-    if (!Sink.ok()) {
-      tel::logError("serve", Sink.status().toString());
-      return 1;
-    }
-    if (Status St = tel::setTraceSink(Sink.takeValue()); !St.ok())
-      tel::logError("serve", St.toString());
-  }
-
-  Expected<std::unique_ptr<ProfileService>> Service =
-      ProfileService::create(SvcOpts);
-  if (!Service.ok()) {
-    tel::logError("serve", Service.status().toString());
-    return 1;
-  }
-  ProfileService &Svc = *Service.value();
-  if (const StoreRecovery *Rec = Svc.storeRecovery(); Rec && Rec->dirty()) {
-    // Operators (and the CI crash-recovery drill) read this line to see
-    // exactly which entries survived and which were quarantined.
-    std::printf("kremlin serve: %s\n", Rec->summary().c_str());
-    std::fflush(stdout);
-  }
-
-  for (const std::string &Path : LoadPaths) {
-    TraceMeta Meta;
-    Expected<DictionaryCompressor> In = readTraceFile(
-        Path, &Meta, TraceReadLimits{SvcOpts.MaxIngestBytes});
-    if (!In.ok()) {
-      tel::logError("serve", In.status().toString());
-      return 1;
-    }
-    if (Status St = Svc.ingest(In.value(), "", Meta.Source); !St.ok()) {
-      tel::logError("serve", St.toString());
-      return 1;
-    }
-  }
-
-  // Block SIGINT/SIGTERM before spawning the server threads (they inherit
-  // the mask), then sigwait on the main thread: the only place the stop
-  // signal can land is the one thread prepared to handle it, and shutdown
-  // runs in normal (non-handler) context where joining threads is legal.
-  sigset_t StopSet;
-  sigemptyset(&StopSet);
-  sigaddset(&StopSet, SIGINT);
-  sigaddset(&StopSet, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &StopSet, nullptr);
-
-  // Backpressure and deadline hooks: the service owns the policy (queue
-  // bound) and the accounting (shed/timeout counters); the server owns
-  // the mechanics (accept-thread rejection, SO_RCVTIMEO 408s).
-  ServerOpts.Admit = [&Svc] { return Svc.admit(); };
-  ServerOpts.Release = [&Svc] { Svc.release(); };
-  ServerOpts.RejectResponse = ProfileService::shedResponse();
-  ServerOpts.OnReadTimeout = [] { ProfileService::noteTimeout(); };
-
-  Expected<std::unique_ptr<http::Server>> Server = http::Server::start(
-      ServerOpts, [&Svc](const http::Request &Req) {
-        return Svc.handle(Req);
-      });
-  if (!Server.ok()) {
-    tel::logError("serve", Server.status().toString());
-    return 1;
-  }
-  std::printf("kremlin serve: listening on 127.0.0.1:%u (%llu profile(s) "
-              "loaded)\n",
-              Server.value()->port(),
-              static_cast<unsigned long long>(Svc.ingestCount()));
-  std::fflush(stdout); // Launchers parse the port from this line.
-
-  int Sig = 0;
-  sigwait(&StopSet, &Sig);
-  std::printf("kremlin serve: received %s, draining\n",
-              Sig == SIGINT ? "SIGINT" : "SIGTERM");
-  Server.value()->stop();
-  std::printf("kremlin serve: %llu request(s), %llu ingest(s)\n",
-              static_cast<unsigned long long>(
-                  tel::Registry::global().counter("serve.requests").value()),
-              static_cast<unsigned long long>(Svc.ingestCount()));
-  if (!TraceOutPath.empty()) {
-    if (Status St = tel::closeTraceSink(); !St.ok()) {
-      tel::logError("serve", St.toString());
-      return 1;
-    }
-    std::printf("kremlin serve: trace written to %s\n", TraceOutPath.c_str());
-  }
-  return 0;
-}
-
-int aggregate::pushMain(const std::vector<std::string> &Args) {
-  std::vector<std::string> Inputs;
-  std::string Url, TraceOutPath;
-  PushOptions Opts;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--url=", 0) == 0) {
-      Url = Value();
-    } else if (Arg.rfind("--retries=", 0) == 0) {
-      Opts.Retry.MaxRetries =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
-      Opts.TimeoutMs =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOutPath = Value();
-    } else if (Arg == "--help" || Arg == "-h") {
-      printPushUsage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] != '-') {
-      Inputs.push_back(Arg);
-    } else {
-      tel::logf(tel::LogLevel::Error, "push", "unknown option '%s'",
-                Arg.c_str());
-      printPushUsage();
-      return 1;
-    }
-  }
-  if (Inputs.empty() || Url.empty()) {
-    printPushUsage();
-    return 1;
-  }
-  Expected<PushEndpoint> Endpoint = parsePushUrl(Url);
-  if (!Endpoint.ok()) {
-    tel::logError("push", Endpoint.status().toString());
-    return 1;
-  }
-  Opts.Endpoint = Endpoint.takeValue();
-
-  if (!TraceOutPath.empty()) {
-    Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
-        tel::FileTraceSink::open(TraceOutPath);
-    if (!Sink.ok()) {
-      tel::logError("push", Sink.status().toString());
-      return 1;
-    }
-    if (Status St = tel::setTraceSink(Sink.takeValue()); !St.ok())
-      tel::logError("push", St.toString());
-  }
-
-  int Exit = 0;
-  for (const std::string &Path : Inputs) {
-    Expected<PushOutcome> Out = pushProfileFile(Path, Opts);
-    if (!Out.ok()) {
-      tel::logError("push", Out.status().toString());
-      Exit = 1;
-      break;
-    }
-    std::printf("pushed %s as '%s' in %u attempt(s)%s (server total: %llu "
-                "ingest(s), trace %s)\n",
-                Path.c_str(), Out.value().Name.c_str(),
-                Out.value().Attempts,
-                Out.value().Deduplicated ? " [deduplicated]" : "",
-                static_cast<unsigned long long>(Out.value().Ingested),
-                Out.value().TraceId.c_str());
-  }
-  if (!TraceOutPath.empty()) {
-    if (Status St = tel::closeTraceSink(); !St.ok()) {
-      tel::logError("push", St.toString());
-      return 1;
-    }
-    std::printf("push trace written to %s\n", TraceOutPath.c_str());
-  }
-  return Exit;
-}
-
-namespace {
-
-/// One /metrics?format=json poll flattened into name -> value (JSON null,
-/// the empty-histogram quantile encoding, becomes NaN).
-Expected<std::map<std::string, double>>
-scrapeMetrics(const PushEndpoint &Endpoint) {
-  Expected<http::ClientResponse> Resp =
-      http::request(Endpoint.Host, Endpoint.Port, "GET",
-                    "/metrics?format=json", "", "", {}, 5000);
-  if (!Resp.ok())
-    return Resp.status();
-  if (Resp.value().Code != 200)
-    return Status::error(ErrorCode::ExecutionError,
-                         formatString("GET /metrics: HTTP %d",
-                                      Resp.value().Code))
-        .withStage("top");
-  JsonValue Doc;
-  std::string Error;
-  if (!JsonValue::parse(Resp.value().Body, Doc, &Error))
-    return Status::error(ErrorCode::DecodeError,
-                         "malformed /metrics JSON: " + Error)
-        .withStage("top");
-  const JsonValue *Metrics = Doc.get("metrics");
-  if (!Metrics)
-    return Status::error(ErrorCode::DecodeError,
-                         "/metrics JSON has no \"metrics\" object")
-        .withStage("top");
-  std::map<std::string, double> Out;
-  for (const auto &[Name, Value] : Metrics->members())
-    Out[Name] = Value.isNull() ? std::numeric_limits<double>::quiet_NaN()
-                               : Value.asNumber();
-  return Out;
-}
-
-/// Renders one `kremlin top` frame: headline gauges plus a per-endpoint
-/// latency table with rates derived from the previous poll.
-std::string renderTopFrame(const std::map<std::string, double> &Cur,
-                           const std::map<std::string, double> &Prev,
-                           double DtSec) {
-  auto Get = [&Cur](const std::string &Name) {
-    auto It = Cur.find(Name);
-    return It == Cur.end() ? 0.0 : It->second;
-  };
-  auto Rate = [&Prev, DtSec](const std::string &Name, double CurValue) {
-    auto It = Prev.find(Name);
-    if (It == Prev.end() || DtSec <= 0)
-      return std::numeric_limits<double>::quiet_NaN();
-    return (CurValue - It->second) / DtSec;
-  };
-  auto FmtMs = [](double Us) {
-    return std::isnan(Us) ? std::string("n/a")
-                          : formatString("%.2f", Us / 1000.0);
-  };
-
-  double Requests = Get("serve.requests");
-  double ReqRate = Rate("serve.requests", Requests);
-  std::string Out = formatString(
-      "kremlin top: %llu request(s), %llu ingest(s), queue depth %.0f, "
-      "uptime %.1fs\n",
-      static_cast<unsigned long long>(Requests),
-      static_cast<unsigned long long>(Get("serve.ingests")),
-      Get("serve.queue_depth"), Get("serve.uptime_seconds"));
-  Out += std::isnan(ReqRate)
-             ? "rate: n/a (first poll)\n"
-             : formatString("rate: %.1f req/s, shed %.0f, errors %.0f, "
-                            "timeouts %.0f\n",
-                            ReqRate, Get("serve.shed"), Get("serve.errors"),
-                            Get("serve.timeouts"));
-  Out += formatString("queue wait: p50 %s ms, p99 %s ms\n",
-                      FmtMs(Get("serve.queue_wait_us.p50")).c_str(),
-                      FmtMs(Get("serve.queue_wait_us.p99")).c_str());
-
-  TablePrinter Table;
-  Table.setHeader({"endpoint", "count", "rate/s", "p50 ms", "p99 ms"});
-  const std::string Prefix = "serve.latency.";
-  for (const auto &[Name, Value] : Cur) {
-    if (Name.rfind(Prefix, 0) != 0)
-      continue;
-    const std::string Suffix = ".count";
-    if (Name.size() < Suffix.size() ||
-        Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix))
-      continue;
-    std::string Base = Name.substr(0, Name.size() - Suffix.size());
-    std::string Label = Base.substr(Prefix.size());
-    double CountRate = Rate(Name, Value);
-    Table.addRow({Label, formatString("%.0f", Value),
-                  std::isnan(CountRate) ? "n/a"
-                                        : formatString("%.1f", CountRate),
-                  FmtMs(Get(Base + ".p50")), FmtMs(Get(Base + ".p99"))});
-  }
-  if (Table.numRows() == 0)
-    return Out + "(no per-endpoint latency samples yet)\n";
-  return Out + Table.render();
-}
-
-} // namespace
-
-int aggregate::topMain(const std::vector<std::string> &Args) {
-  std::string Url;
-  unsigned IntervalMs = 2000;
-  bool Once = false;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--url=", 0) == 0) {
-      Url = Value();
-    } else if (Arg.rfind("--interval-ms=", 0) == 0) {
-      IntervalMs =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg == "--once") {
-      Once = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      printTopUsage();
-      return 0;
-    } else {
-      tel::logf(tel::LogLevel::Error, "top", "unknown option '%s'",
-                Arg.c_str());
-      printTopUsage();
-      return 1;
-    }
-  }
-  if (Url.empty()) {
-    printTopUsage();
-    return 1;
-  }
-  Expected<PushEndpoint> Endpoint = parsePushUrl(Url);
-  if (!Endpoint.ok()) {
-    tel::logError("top", Endpoint.status().toString());
-    return 1;
-  }
-
-  std::map<std::string, double> Prev;
-  uint64_t PrevPollUs = 0;
-  for (;;) {
-    Expected<std::map<std::string, double>> Cur =
-        scrapeMetrics(Endpoint.value());
-    if (!Cur.ok()) {
-      tel::logError("top", Cur.status().toString());
-      return 1;
-    }
-    uint64_t PollUs = tel::nowUs();
-    double DtSec =
-        PrevPollUs ? static_cast<double>(PollUs - PrevPollUs) / 1e6 : 0.0;
-    if (!Once)
-      std::printf("\033[2J\033[H"); // Clear screen + home, live-view style.
-    std::fputs(renderTopFrame(Cur.value(), Prev, DtSec).c_str(), stdout);
-    std::fflush(stdout);
-    if (Once)
-      return 0;
-    Prev = std::move(Cur.value());
-    PrevPollUs = PollUs;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        IntervalMs == 0 ? 100 : IntervalMs));
-  }
 }

@@ -1,17 +1,14 @@
-//===- aggregate/AggregateTool.h - merge/diff/serve CLI ---------*- C++ -*-===//
+//===- aggregate/AggregateTool.h - merge/diff CLI ---------------*- C++ -*-===//
 //
 // Part of the Kremlin reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Subcommand entry points for the fleet-aggregation CLI surface:
+/// Subcommand entry points for offline profile aggregation:
 ///
-///   kremlin merge <a.prof> <b.prof>... --out=<merged.prof>
+///   kremlin merge <a.prof> <b.prof>... --out=<merged.prof> [--store=<dir>]
 ///   kremlin diff  <a.prof> <b.prof>
-///   kremlin serve --port=<n> [--store=<dir>] [--load=<p.prof,...>]
-///   kremlin push  <a.prof>... --url=http://host:port
-///   kremlin top   --url=http://host:port [--interval-ms=<n>] [--once]
 ///
 /// Each main takes argv minus the program and subcommand words, mirroring
 /// report::reportMain.
@@ -32,15 +29,6 @@ int mergeMain(const std::vector<std::string> &Args);
 
 /// `kremlin diff`: per-region work/SP deltas between two profiles.
 int diffMain(const std::vector<std::string> &Args);
-
-/// `kremlin serve`: the embedded aggregation endpoint.
-int serveMain(const std::vector<std::string> &Args);
-
-/// `kremlin push`: retrying profile upload to a serve endpoint.
-int pushMain(const std::vector<std::string> &Args);
-
-/// `kremlin top`: live terminal view of a serve endpoint's /metrics.
-int topMain(const std::vector<std::string> &Args);
 
 } // namespace aggregate
 } // namespace kremlin

@@ -117,8 +117,7 @@ public:
   /// What the recovery pass found/fixed when this store was opened.
   const StoreRecovery &recovery() const { return Recovery; }
 
-  /// Renders the index as an aligned table (`kremlin serve` startup log,
-  /// tests).
+  /// Renders the index as an aligned table (operator logs, tests).
   std::string renderIndex() const;
 
 private:

@@ -61,7 +61,7 @@ namespace {
 void printUsage() {
   std::fprintf(
       stderr,
-      "usage: kremlin [stats|lint|report|merge|diff|serve|push|top] "
+      "usage: kremlin [stats|lint|report|merge|diff] "
       "(<source.c> | --bench=<name> | --tracking) [options]\n"
       "  --personality=<openmp|cilk|work|selfp>   planner personality\n"
       "  --exclude=<id,id,...>                    exclude region ids, replan\n"
@@ -110,15 +110,13 @@ void printUsage() {
       "The `report` subcommand exports the profiled region tree as a\n"
       "flamegraph (speedscope/collapsed), per-region timeline JSON, or\n"
       "terminal tree; see `kremlin report --help`.\n"
-      "The `merge`, `diff`, `serve`, `push`, and `top` subcommands\n"
-      "aggregate saved profiles fleet-wide: merge unions compressed\n"
-      "traces, diff prints per-region deltas, serve exposes ingest/report\n"
-      "HTTP endpoints, push uploads profiles to a serve endpoint with\n"
-      "retries and idempotency keys, top live-renders a serve endpoint's\n"
-      "/metrics; see each subcommand's --help.\n"
+      "The `merge` and `diff` subcommands aggregate saved profiles:\n"
+      "merge unions compressed traces (optionally into a crash-safe\n"
+      "profile store), diff prints per-region deltas; see each\n"
+      "subcommand's --help.\n"
       "KREMLIN_LOG=error|warn|info|debug selects diagnostic verbosity.\n"
       "KREMLIN_FAULT=alloc:<p>|trace_corrupt|stage:<name>|bench_throw:<p>|\n"
-      "ingest:<p>|store_write:<p>|shed:<p> (comma-combined,\n"
+      "ingest:<p>|store_write:<p> (comma-combined,\n"
       "KREMLIN_FAULT_SEED=<n>) enables deterministic fault injection for\n"
       "testing failure paths.\n");
 }
@@ -303,9 +301,9 @@ int benchMain(const std::vector<std::string> &Args) {
 
   for (const std::string &Arg : Args) {
     auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
+    Status FlagError;
     if (Arg.rfind("--threads=", 0) == 0) {
-      Opts.Threads =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
+      FlagError = parseUnsignedFlag(Arg, Opts.Threads);
     } else if (Arg.rfind("--benchmarks=", 0) == 0) {
       for (const std::string &Tok : splitString(Value(), ','))
         if (!Tok.empty())
@@ -323,9 +321,9 @@ int benchMain(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TraceOut = Value();
     } else if (Arg.rfind("--trace-ring-events=", 0) == 0) {
-      SinkCfg.RingEvents = std::strtoull(Value().c_str(), nullptr, 10);
+      FlagError = parseUnsignedFlag(Arg, SinkCfg.RingEvents);
     } else if (Arg.rfind("--trace-flush-kb=", 0) == 0) {
-      SinkCfg.FlushKb = std::strtoull(Value().c_str(), nullptr, 10);
+      FlagError = parseUnsignedFlag(Arg, SinkCfg.FlushKb);
     } else if (Arg.rfind("--metrics-out=", 0) == 0) {
       MetricsOut = Value();
     } else if (Arg == "--check-baseline") {
@@ -341,6 +339,10 @@ int benchMain(const std::vector<std::string> &Args) {
       tel::logf(tel::LogLevel::Error, "bench", "unknown option '%s'",
                 Arg.c_str());
       printBenchUsage();
+      return 1;
+    }
+    if (!FlagError.ok()) {
+      tel::logError("bench", FlagError.toString());
       return 1;
     }
   }
@@ -509,15 +511,6 @@ int main(int argc, char **argv) {
   if (argc > 1 && std::strcmp(argv[1], "diff") == 0)
     return aggregate::diffMain(
         std::vector<std::string>(argv + 2, argv + argc));
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-    return aggregate::serveMain(
-        std::vector<std::string>(argv + 2, argv + argc));
-  if (argc > 1 && std::strcmp(argv[1], "push") == 0)
-    return aggregate::pushMain(
-        std::vector<std::string>(argv + 2, argv + argc));
-  if (argc > 1 && std::strcmp(argv[1], "top") == 0)
-    return aggregate::topMain(
-        std::vector<std::string>(argv + 2, argv + argc));
 
   // `kremlin stats ...` runs the same pipeline but renders the telemetry
   // registry instead of the plan. `kremlin lint ...` runs only the static
@@ -548,6 +541,7 @@ int main(int argc, char **argv) {
   for (int I = ArgStart; I < argc; ++I) {
     std::string Arg = argv[I];
     auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
+    Status FlagError;
     if (Arg.rfind("--bench=", 0) == 0) {
       Expected<GeneratedBenchmark> GB = tryGeneratePaperBenchmark(Value());
       if (!GB.ok()) {
@@ -569,33 +563,36 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--personality=", 0) == 0) {
       Opts.PersonalityName = Value();
     } else if (Arg.rfind("--exclude=", 0) == 0) {
-      for (const std::string &Tok : splitString(Value(), ','))
-        if (!Tok.empty())
-          Opts.Planner.Excluded.insert(
-              static_cast<RegionId>(std::strtoul(Tok.c_str(), nullptr, 10)));
+      // Each id is checked on its own, so the error names the bad token.
+      for (const std::string &Tok : splitString(Value(), ',')) {
+        RegionId Id = 0;
+        if (Tok.empty())
+          continue;
+        FlagError = parseUnsignedFlag("--exclude=" + Tok, Id);
+        if (!FlagError.ok())
+          break;
+        Opts.Planner.Excluded.insert(Id);
+      }
     } else if (Arg.rfind("--min-sp=", 0) == 0) {
       Opts.Planner.MinSelfParallelism = std::strtod(Value().c_str(), nullptr);
     } else if (Arg.rfind("--rows=", 0) == 0) {
-      Rows = std::strtoul(Value().c_str(), nullptr, 10);
+      FlagError = parseUnsignedFlag(Arg, Rows);
     } else if (Arg.rfind("--max-shadow-mb=", 0) == 0) {
-      Opts.Runtime.MaxShadowBytes =
-          std::strtoull(Value().c_str(), nullptr, 10) * 1024 * 1024;
+      FlagError = parseUnsignedFlag(Arg, Opts.Runtime.MaxShadowBytes, 1 << 20);
     } else if (Arg.rfind("--max-region-depth=", 0) == 0) {
-      Opts.Runtime.MaxRegionDepth =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
+      FlagError = parseUnsignedFlag(Arg, Opts.Runtime.MaxRegionDepth);
     } else if (Arg.rfind("--save-trace=", 0) == 0) {
       SaveTracePath = Value();
     } else if (Arg.rfind("--load-trace=", 0) == 0) {
       LoadTracePath = Value();
     } else if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      ReadLimits.MaxBytes =
-          std::strtoull(Value().c_str(), nullptr, 10) * 1024 * 1024;
+      FlagError = parseUnsignedFlag(Arg, ReadLimits.MaxBytes, 1 << 20);
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TraceOut = Value();
     } else if (Arg.rfind("--trace-ring-events=", 0) == 0) {
-      SinkCfg.RingEvents = std::strtoull(Value().c_str(), nullptr, 10);
+      FlagError = parseUnsignedFlag(Arg, SinkCfg.RingEvents);
     } else if (Arg.rfind("--trace-flush-kb=", 0) == 0) {
-      SinkCfg.FlushKb = std::strtoull(Value().c_str(), nullptr, 10);
+      FlagError = parseUnsignedFlag(Arg, SinkCfg.FlushKb);
     } else if (Arg.rfind("--metrics-out=", 0) == 0) {
       MetricsOut = Value();
     } else if (Arg.rfind("--json=", 0) == 0) {
@@ -636,6 +633,10 @@ int main(int argc, char **argv) {
       tel::logf(tel::LogLevel::Error, "cli", "unknown option '%s'",
                 Arg.c_str());
       printUsage();
+      return 1;
+    }
+    if (!FlagError.ok()) {
+      tel::logError("cli", FlagError.toString());
       return 1;
     }
   }

@@ -7,6 +7,7 @@
 #include "report/ProfileExport.h"
 #include "suite/PaperSuite.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <cstdio>
@@ -61,11 +62,11 @@ int report::reportMain(const std::vector<std::string> &Args) {
 
   for (const std::string &Arg : Args) {
     auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
+    Status FlagError;
     if (Arg.rfind("--format=", 0) == 0) {
       Format = Value();
     } else if (Arg.rfind("--top=", 0) == 0) {
-      Opts.Top =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
+      FlagError = parseUnsignedFlag(Arg, Opts.Top);
     } else if (Arg.rfind("--min-coverage=", 0) == 0) {
       Opts.MinCoveragePct = std::strtod(Value().c_str(), nullptr);
     } else if (Arg.rfind("--out=", 0) == 0) {
@@ -73,8 +74,7 @@ int report::reportMain(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--load-trace=", 0) == 0) {
       LoadTracePath = Value();
     } else if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      Limits.MaxBytes =
-          std::strtoull(Value().c_str(), nullptr, 10) * 1024 * 1024;
+      FlagError = parseUnsignedFlag(Arg, Limits.MaxBytes, 1 << 20);
     } else if (Arg.rfind("--bench=", 0) == 0) {
       Expected<GeneratedBenchmark> GB = tryGeneratePaperBenchmark(Value());
       if (!GB.ok()) {
@@ -100,6 +100,10 @@ int report::reportMain(const std::vector<std::string> &Args) {
       tel::logf(tel::LogLevel::Error, "report", "unknown option '%s'",
                 Arg.c_str());
       printReportUsage();
+      return 1;
+    }
+    if (!FlagError.ok()) {
+      tel::logError("report", FlagError.toString());
       return 1;
     }
   }

@@ -18,7 +18,7 @@ namespace {
 
 struct FaultConfig {
   /// Per-site failure probability; < 0 means the site is inactive.
-  double SiteP[6] = {-1.0, -1.0, -1.0, -1.0, -1.0, -1.0};
+  double SiteP[5] = {-1.0, -1.0, -1.0, -1.0, -1.0};
   std::vector<std::string> FailStages;
   uint64_t Seed = 0;
   std::string Spec;
@@ -64,8 +64,6 @@ bool parseToken(std::string_view Tok, FaultConfig &Out) {
     S = fault::Site::Ingest;
   else if (Name == "store_write")
     S = fault::Site::StoreWrite;
-  else if (Name == "shed")
-    S = fault::Site::Shed;
   else
     return false;
 

@@ -19,7 +19,6 @@
 ///   KREMLIN_FAULT=bench_throw:0.5     throw from ~50% of bench workers
 ///   KREMLIN_FAULT=ingest:0.5          fail ~50% of profile ingests
 ///   KREMLIN_FAULT=store_write:0.5     fail ~50% of profile-store writes
-///   KREMLIN_FAULT=shed:0.2            shed ~20% of serve requests (503)
 ///   KREMLIN_FAULT=alloc:0.05,stage:plan     specs combine
 ///
 /// Probabilistic sites draw from a SplitMix64 stream indexed by a global
@@ -52,19 +51,14 @@ enum class Site : unsigned char {
   /// Bench-harness worker entry: throws instead of returning (exercises
   /// the harness exception boundary).
   BenchThrow,
-  /// Profile ingest (file reads and `kremlin serve` uploads): models a
-  /// failed fleet upload so the aggregation path's error plumbing is
-  /// drillable (spec keyword `ingest`).
+  /// Profile ingest (trace file reads): models a failed read of a saved
+  /// profile so the aggregation path's error plumbing is drillable (spec
+  /// keyword `ingest`).
   Ingest,
   /// Profile-store durable write (blob or index): models a disk failure /
   /// crash mid-write — the temp file is left behind, the rename never
   /// happens — so store recovery is drillable (spec keyword `store_write`).
   StoreWrite,
-  /// `kremlin serve` load shedding: the service sheds the request with
-  /// 503 + Retry-After as if its pending-request queue were full, so the
-  /// backpressure path (and clients' retry handling) is drillable without
-  /// generating real overload (spec keyword `shed`).
-  Shed,
 };
 
 namespace detail {

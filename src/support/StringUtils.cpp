@@ -73,3 +73,20 @@ std::string_view kremlin::trimString(std::string_view Text) {
     Text.remove_suffix(1);
   return Text;
 }
+
+bool kremlin::parseUnsigned(std::string_view Text, uint64_t &Out,
+                            uint64_t Max) {
+  if (Text.empty())
+    return false;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    unsigned Digit = static_cast<unsigned>(C - '0');
+    if (Digit > Max || Value > (Max - Digit) / 10)
+      return false;
+    Value = Value * 10 + Digit;
+  }
+  Out = Value;
+  return true;
+}

@@ -5,8 +5,6 @@
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
-#include "support/Prng.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -96,16 +94,22 @@ std::vector<std::pair<std::string, double>> Registry::snapshot() const {
     // null, table "n/a") says so honestly where 0 would read as data.
     const bool Empty = H->count() == 0;
     const double NA = std::numeric_limits<double>::quiet_NaN();
+    // quantile() answers with its log2 bucket's upper bound, which can
+    // exceed every recorded sample; clamped, p50/p99 never read past the
+    // observed extremes. (Not std::clamp: a snapshot racing a first
+    // record() may briefly see min > max.)
+    auto Quantile = [&H](double P) {
+      return static_cast<double>(
+          std::min(std::max(H->quantile(P), H->min()), H->max()));
+    };
     Out.emplace_back(Name + ".count", static_cast<double>(H->count()));
     Out.emplace_back(Name + ".sum", static_cast<double>(H->sum()));
     Out.emplace_back(Name + ".min",
                      Empty ? NA : static_cast<double>(H->min()));
     Out.emplace_back(Name + ".max",
                      Empty ? NA : static_cast<double>(H->max()));
-    Out.emplace_back(Name + ".p50",
-                     Empty ? NA : static_cast<double>(H->quantile(0.5)));
-    Out.emplace_back(Name + ".p99",
-                     Empty ? NA : static_cast<double>(H->quantile(0.99)));
+    Out.emplace_back(Name + ".p50", Empty ? NA : Quantile(0.5));
+    Out.emplace_back(Name + ".p99", Empty ? NA : Quantile(0.99));
   }
   std::sort(Out.begin(), Out.end());
   return Out;
@@ -136,77 +140,6 @@ std::string Registry::renderTable() const {
                                          : formatString("%.3f", Value)});
   }
   return Table.render();
-}
-
-namespace {
-
-/// serve.queue_wait_us -> kremlin_serve_queue_wait_us.
-std::string prometheusName(std::string_view Name) {
-  std::string Out = "kremlin_";
-  for (char C : Name) {
-    bool Ok = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
-              (C >= '0' && C <= '9') || C == '_';
-    Out += Ok ? C : '_';
-  }
-  return Out;
-}
-
-std::string prometheusNumber(double V) {
-  if (std::isnan(V))
-    return "NaN";
-  double Rounded = static_cast<double>(static_cast<int64_t>(V));
-  return V == Rounded ? formatString("%.0f", V) : formatString("%.10g", V);
-}
-
-void prometheusHeader(std::string &Out, const std::string &PName,
-                      const std::string &Name, const char *Type) {
-  Out += "# HELP " + PName + " kremlin metric " + Name + "\n";
-  Out += "# TYPE " + PName + " " + Type + "\n";
-}
-
-} // namespace
-
-std::string Registry::renderPrometheus() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::string Out;
-  for (const auto &[Name, C] : Counters) {
-    std::string PName = prometheusName(Name);
-    prometheusHeader(Out, PName, Name, "counter");
-    Out += PName + " " + formatString("%llu",
-                                      static_cast<unsigned long long>(
-                                          C->value())) + "\n";
-  }
-  for (const auto &[Name, G] : Gauges) {
-    std::string PName = prometheusName(Name);
-    prometheusHeader(Out, PName, Name, "gauge");
-    Out += PName + " " + prometheusNumber(G->value()) + "\n";
-  }
-  for (const auto &[Name, H] : Histograms) {
-    std::string PName = prometheusName(Name);
-    prometheusHeader(Out, PName, Name, "histogram");
-    // Cumulative buckets up to the one holding the max sample; the log2
-    // upper bounds are inclusive, which matches Prometheus `le` exactly.
-    // Bucket 64's bound is not finitely representable — +Inf covers it.
-    uint64_t Cumulative = 0;
-    if (H->count() > 0) {
-      unsigned Last = std::min(Histogram::bucketFor(H->max()), 63u);
-      for (unsigned I = 0; I <= Last; ++I) {
-        Cumulative += H->bucket(I);
-        Out += PName + formatString(
-                           "_bucket{le=\"%llu\"} %llu\n",
-                           static_cast<unsigned long long>(
-                               Histogram::bucketUpperBound(I)),
-                           static_cast<unsigned long long>(Cumulative));
-      }
-    }
-    Out += PName + formatString("_bucket{le=\"+Inf\"} %llu\n",
-                                static_cast<unsigned long long>(H->count()));
-    Out += PName + formatString("_sum %llu\n",
-                                static_cast<unsigned long long>(H->sum()));
-    Out += PName + formatString("_count %llu\n",
-                                static_cast<unsigned long long>(H->count()));
-  }
-  return Out;
 }
 
 void Registry::resetValues() {
@@ -590,24 +523,6 @@ void kremlin::telemetry::counterSample(std::string Name, double Value) {
   recordEvent(std::move(E));
 }
 
-void kremlin::telemetry::recordSpanAt(
-    std::string Name, std::string Category, uint64_t StartUs, uint64_t DurUs,
-    std::vector<std::pair<std::string, std::string>> Args) {
-  eventCounter().add();
-  if (!traceEnabled())
-    return;
-  if (const TraceContext *Ctx = currentTraceContext())
-    Args.emplace_back("trace_id", Ctx->TraceId);
-  TraceEvent E;
-  E.K = TraceEvent::Kind::Span;
-  E.Name = std::move(Name);
-  E.Category = std::move(Category);
-  E.TimeUs = StartUs;
-  E.DurUs = DurUs;
-  E.Args = std::move(Args);
-  recordEvent(std::move(E));
-}
-
 std::vector<TraceEvent> kremlin::telemetry::takeTrace() { return drainShards(); }
 
 JsonValue kremlin::telemetry::traceEventToJson(const TraceEvent &E) {
@@ -655,95 +570,6 @@ std::string kremlin::telemetry::takeTraceAsChromeJson() {
   return traceToChromeJson(takeTrace());
 }
 
-// --- Trace-context propagation ----------------------------------------------
-
-namespace {
-
-/// Unique-per-process id bits: a SplitMix64 stream seeded once from the
-/// clock and some address entropy. Correlation ids, not secrets.
-uint64_t randomIdBits() {
-  static std::mutex M;
-  static Prng Rng([] {
-    uint64_t Seed = static_cast<uint64_t>(
-        std::chrono::system_clock::now().time_since_epoch().count());
-    Seed ^= static_cast<uint64_t>(
-        std::hash<std::thread::id>()(std::this_thread::get_id()));
-    Seed ^= reinterpret_cast<uintptr_t>(&Rng);
-    return Seed;
-  }());
-  std::lock_guard<std::mutex> Lock(M);
-  return Rng.next();
-}
-
-bool isLowerHex(std::string_view S) {
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
-}
-
-bool isAllZero(std::string_view S) {
-  return S.find_first_not_of('0') == std::string_view::npos;
-}
-
-thread_local const TraceContext *CurrentCtx = nullptr;
-
-} // namespace
-
-TraceContext kremlin::telemetry::mintTraceContext() {
-  TraceContext Ctx;
-  Ctx.TraceId = formatString(
-      "%016llx%016llx", static_cast<unsigned long long>(randomIdBits()),
-      static_cast<unsigned long long>(randomIdBits()));
-  if (isAllZero(Ctx.TraceId))
-    Ctx.TraceId.back() = '1'; // The all-zero id is reserved ("no trace").
-  Ctx.SpanId = mintSpanId();
-  return Ctx;
-}
-
-std::string kremlin::telemetry::mintSpanId() {
-  std::string Id = formatString(
-      "%016llx", static_cast<unsigned long long>(randomIdBits()));
-  if (isAllZero(Id))
-    Id.back() = '1';
-  return Id;
-}
-
-std::string kremlin::telemetry::formatTraceparent(const TraceContext &Ctx) {
-  return "00-" + Ctx.TraceId + "-" + Ctx.SpanId + "-01";
-}
-
-bool kremlin::telemetry::parseTraceparent(std::string_view Header,
-                                          TraceContext &Out) {
-  // 00-{32 hex}-{16 hex}-{2 hex}: 55 chars exactly. Anything longer
-  // (oversized), shorter (truncated), or differently cased is rejected.
-  if (Header.size() != 55)
-    return false;
-  if (Header.substr(0, 3) != "00-" || Header[35] != '-' || Header[52] != '-')
-    return false;
-  std::string_view TraceId = Header.substr(3, 32);
-  std::string_view SpanId = Header.substr(36, 16);
-  std::string_view Flags = Header.substr(53, 2);
-  if (!isLowerHex(TraceId) || !isLowerHex(SpanId) || !isLowerHex(Flags))
-    return false;
-  if (isAllZero(TraceId) || isAllZero(SpanId))
-    return false;
-  Out.TraceId = std::string(TraceId);
-  Out.SpanId = std::string(SpanId);
-  return true;
-}
-
-ScopedTraceContext::ScopedTraceContext(TraceContext Ctx)
-    : Ctx(std::move(Ctx)), Prev(CurrentCtx) {
-  CurrentCtx = this->Ctx.valid() ? &this->Ctx : Prev;
-}
-
-ScopedTraceContext::~ScopedTraceContext() { CurrentCtx = Prev; }
-
-const TraceContext *kremlin::telemetry::currentTraceContext() {
-  return CurrentCtx;
-}
-
 // --- Span -------------------------------------------------------------------
 
 Span::Span(std::string_view Name, std::string_view Category) {
@@ -752,8 +578,6 @@ Span::Span(std::string_view Name, std::string_view Category) {
     return;
   this->Name = Name;
   this->Category = Category;
-  if (const TraceContext *Ctx = currentTraceContext())
-    Args.emplace_back("trace_id", Ctx->TraceId);
   Recording = true;
   StartUs = nowUs();
 }

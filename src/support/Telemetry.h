@@ -160,7 +160,8 @@ public:
   Histogram &histogram(std::string_view Name);
 
   /// Flat snapshot: every metric as (name, value) in name order.
-  /// Histograms expand to <name>.count/.sum/.min/.max/.p50/.p99; an empty
+  /// Histograms expand to <name>.count/.sum/.min/.max/.p50/.p99, with the
+  /// bucket-resolution quantiles clamped to [min, max]; an empty
   /// histogram's min/max/p50/p99 are NaN (there is no sample to report),
   /// which serializes as JSON null and renders as "n/a" — never a
   /// sentinel value masquerading as data.
@@ -173,14 +174,6 @@ public:
   /// Renders the snapshot as an aligned two-column table. NaN values
   /// (empty-histogram quantiles) render as "n/a".
   std::string renderTable() const;
-
-  /// Renders every metric in the Prometheus text exposition format:
-  /// names are prefixed `kremlin_` with non-alphanumerics mapped to '_',
-  /// each sample family is preceded by `# HELP`/`# TYPE` lines, and
-  /// histograms emit their log2 buckets as cumulative `_bucket{le="..."}`
-  /// series (inclusive upper bounds) closed by `le="+Inf"`, plus `_sum`
-  /// and `_count`.
-  std::string renderPrometheus() const;
 
   /// Zeroes every registered metric; references remain valid.
   void resetValues();
@@ -323,14 +316,6 @@ uint64_t nowUs();
 void instantEvent(std::string Name, std::string Category,
                   std::vector<std::pair<std::string, std::string>> Args = {});
 
-/// Records a complete span (Chrome phase "X") with explicit timestamps —
-/// for durations measured before the event is emitted (e.g. the queue
-/// wait a request accrued before its handler started). Picks up the
-/// current trace context like Span does.
-void recordSpanAt(std::string Name, std::string Category, uint64_t StartUs,
-                  uint64_t DurUs,
-                  std::vector<std::pair<std::string, std::string>> Args = {});
-
 /// Records a counter sample (Chrome phase "C") when tracing is enabled.
 void counterSample(std::string Name, double Value);
 
@@ -374,61 +359,6 @@ private:
   uint64_t StartUs = 0;
   bool Recording = false;
 };
-
-// --- Trace-context propagation ----------------------------------------------
-//
-// One request's story spans processes: `kremlin push` mints a 16-byte
-// trace id, stamps each attempt with a fresh 8-byte span id, and sends
-// both as a W3C-traceparent-style header; the serve side adopts the id
-// into its request span. Every span recorded while a ScopedTraceContext
-// is active carries a `trace_id` arg, so one grep over the exported
-// Chrome trace stitches client retries and server handling together.
-
-/// A propagated trace identity. Ids are lowercase hex: 32 chars (16
-/// bytes) for the trace, 16 chars (8 bytes) for the span.
-struct TraceContext {
-  std::string TraceId;
-  std::string SpanId;
-
-  bool valid() const { return !TraceId.empty(); }
-};
-
-/// Mints a fresh context (new trace id + span id). Ids are unique per
-/// process and seeded from the clock — collision-resistant correlation
-/// ids, not security tokens.
-TraceContext mintTraceContext();
-
-/// Mints a fresh 16-hex-char span id (one per push attempt).
-std::string mintSpanId();
-
-/// The wire format: `00-<trace-id>-<span-id>-01` (W3C traceparent,
-/// version 00, sampled flag).
-std::string formatTraceparent(const TraceContext &Ctx);
-
-/// Parses a traceparent header. Strict: exactly version "00", lowercase
-/// hex, correct lengths, non-zero ids — anything else (malformed,
-/// oversized, truncated) returns false and the caller mints a fresh
-/// context instead, so a garbage header can never poison the trace.
-bool parseTraceparent(std::string_view Header, TraceContext &Out);
-
-/// Installs \p Ctx as the calling thread's current trace context for the
-/// scope's lifetime (nesting restores the previous one). Spans recorded
-/// inside the scope automatically carry a `trace_id` arg.
-class ScopedTraceContext {
-public:
-  explicit ScopedTraceContext(TraceContext Ctx);
-  ~ScopedTraceContext();
-
-  ScopedTraceContext(const ScopedTraceContext &) = delete;
-  ScopedTraceContext &operator=(const ScopedTraceContext &) = delete;
-
-private:
-  TraceContext Ctx;
-  const TraceContext *Prev;
-};
-
-/// The calling thread's current context (nullptr outside any scope).
-const TraceContext *currentTraceContext();
 
 // --- Structured leveled logger ----------------------------------------------
 

@@ -496,22 +496,6 @@ TEST(Cli, StatsDiffRendersNaWhenBothSidesAreEmptyHistograms) {
   std::remove(BPath.c_str());
 }
 
-TEST(Cli, TopUsageErrorsFailLoudly) {
-  int Code = 0;
-  std::string Out = runTool("top", Code);
-  EXPECT_NE(Code, 0);
-  EXPECT_NE(Out.find("usage: kremlin top"), std::string::npos) << Out;
-
-  Out = runTool("top --bogus", Code);
-  EXPECT_NE(Code, 0);
-  EXPECT_NE(Out.find("unknown option"), std::string::npos) << Out;
-
-  // An unreachable endpoint is a hard error, not a hang: --once against a
-  // port nothing listens on exits nonzero with the transport diagnostic.
-  Out = runTool("top --url=http://127.0.0.1:9 --once", Code);
-  EXPECT_NE(Code, 0);
-}
-
 TEST(Cli, MergeAndDiffSubcommands) {
   // The fleet workflow end to end: save two profiles, merge them (with a
   // speedscope export and a store record), then diff input vs merge.
@@ -565,15 +549,44 @@ TEST(Cli, MergeAndDiffSubcommands) {
   std::filesystem::remove_all(StoreDir);
 }
 
-TEST(Cli, ServeHelpDocumentsEndpoints) {
+TEST(Cli, MergeStoreReportsQuarantinedBlobByName) {
+  // A damaged store entry must not pass silently: `merge --store=` prints
+  // the recovery report, naming the quarantined entry, and still records
+  // the new merge.
+  std::string TracePath = scratchPath("cli_quarantine.prof");
+  std::string StoreDir = scratchPath("cli_quarantine_store");
   int Code = 0;
-  std::string Out = runTool("serve --help", Code);
-  EXPECT_EQ(Code, 0);
-  EXPECT_NE(Out.find("POST /ingest"), std::string::npos);
-  EXPECT_NE(Out.find("/metrics"), std::string::npos);
-  EXPECT_NE(Out.find("--max-profile-mb"), std::string::npos);
-  runTool("serve --bogus-flag", Code);
-  EXPECT_NE(Code, 0);
+  runTool("--bench=is --save-trace=" + TracePath + " --rows=1", Code);
+  ASSERT_EQ(Code, 0);
+  for (const char *Name : {"alpha", "beta"}) {
+    std::string Out = runTool("merge " + TracePath + " --store=" + StoreDir +
+                                  " --name=" + Name,
+                              Code);
+    ASSERT_EQ(Code, 0) << Out;
+    EXPECT_EQ(Out.find("store recovery:"), std::string::npos) << Out;
+  }
+
+  // Flip alpha's blob so its recorded checksum no longer matches.
+  std::string BlobPath = StoreDir + "/alpha.prof";
+  std::string Blob;
+  ASSERT_TRUE(kremlin::readFileToString(BlobPath, Blob));
+  ASSERT_TRUE(kremlin::writeStringToFile(BlobPath, "XXXX" + Blob.substr(4)));
+
+  std::string Out = runTool(
+      "merge " + TracePath + " --store=" + StoreDir + " --name=gamma", Code);
+  EXPECT_EQ(Code, 0) << Out;
+  // The report is a result line on stdout, not only a warn-level log.
+  size_t At = Out.find("kremlin merge: store recovery:");
+  ASSERT_NE(At, std::string::npos) << Out;
+  std::string Report = Out.substr(At, Out.find('\n', At) - At);
+  EXPECT_NE(Report.find("1 quarantined"), std::string::npos) << Report;
+  EXPECT_NE(Report.find("(alpha: checksum mismatch"), std::string::npos)
+      << Report;
+  EXPECT_NE(Out.find("stored as 'gamma'"), std::string::npos) << Out;
+  EXPECT_TRUE(std::filesystem::exists(StoreDir + "/quarantine/alpha.prof"));
+
+  std::remove(TracePath.c_str());
+  std::filesystem::remove_all(StoreDir);
 }
 
 TEST(Cli, MaxProfileMbBudgetFailsOversizedLoads) {

@@ -50,6 +50,7 @@ TEST(FaultInjection, MalformedSpecsAreRejected) {
   EXPECT_FALSE(fault::configure("alloc:2.0"));    // p out of [0,1]
   EXPECT_FALSE(fault::configure("alloc:banana")); // p not a number
   EXPECT_FALSE(fault::configure("frobnicate"));   // unknown site
+  EXPECT_FALSE(fault::configure("shed:0.2"));     // retired site
   EXPECT_FALSE(fault::configure("stage:"));       // stage needs a name
   // A malformed spec must not leave injection half-armed.
   EXPECT_FALSE(fault::enabled());

@@ -99,6 +99,69 @@ INSTANTIATE_TEST_SUITE_P(Corpus, RobustnessTest, ::testing::ValuesIn(Corpus),
                            return Name;
                          });
 
+// --- Malformed numeric flag values. -------------------------------------
+
+/// A numeric flag with a bad value: the tool must fail by returning, with a
+/// `kremlin[error]` line naming the flag, rather than run with strtoull's
+/// silent 0 (often "unlimited") or a wrapped huge value.
+struct BadFlagCase {
+  const char *Name;
+  const char *Args;
+  const char *Flag;
+};
+
+const BadFlagCase BadFlags[] = {
+    {"ShadowMbLetters", "--bench=ep --max-shadow-mb=abc", "--max-shadow-mb"},
+    {"ShadowMbEmpty", "--bench=ep --max-shadow-mb=", "--max-shadow-mb"},
+    {"ShadowMbNegative", "--bench=ep --max-shadow-mb=-1", "--max-shadow-mb"},
+    // 2^44 MiB is 2^64 bytes: the scaled budget would wrap to 0.
+    {"ShadowMbScaledOverflow", "--bench=ep --max-shadow-mb=17592186044416",
+     "--max-shadow-mb"},
+    {"RegionDepthOverflow", "--bench=ep --max-region-depth=4294967296",
+     "--max-region-depth"},
+    {"RowsTrailingJunk", "--tracking --rows=3x", "--rows"},
+    {"ExcludeBadToken", "--tracking --exclude=1,x", "--exclude"},
+    {"ProfileMbFraction", "--tracking --max-profile-mb=1.5",
+     "--max-profile-mb"},
+    {"TraceRingEventsSigned", "--tracking --trace-ring-events=+5",
+     "--trace-ring-events"},
+    {"TraceFlushKbHuge", "--tracking --trace-flush-kb=99999999999999999999",
+     "--trace-flush-kb"},
+    {"BenchThreadsNegative", "bench --threads=-3", "--threads"},
+    {"BenchTraceRingEvents", "bench --trace-ring-events=x",
+     "--trace-ring-events"},
+    {"ReportTop", "report --bench=is --top=ten", "--top"},
+    {"ReportProfileMb", "report --bench=is --max-profile-mb=-2",
+     "--max-profile-mb"},
+    {"MergeProfileMb", "merge a.prof --max-profile-mb=abc",
+     "--max-profile-mb"},
+    {"DiffProfileMb", "diff a.prof b.prof --max-profile-mb=",
+     "--max-profile-mb"},
+};
+
+/// Names the case by its command line in test listings.
+void PrintTo(const BadFlagCase &C, std::ostream *OS) { *OS << C.Args; }
+
+class BadFlagTest : public ::testing::TestWithParam<BadFlagCase> {};
+
+TEST_P(BadFlagTest, FailsNamingTheFlag) {
+  const BadFlagCase &C = GetParam();
+  RunResult R = runTool(C.Args);
+  EXPECT_TRUE(R.ExitedCleanly)
+      << C.Args << " killed the tool with a signal:\n" << R.Output;
+  EXPECT_NE(R.ExitCode, 0) << C.Args << " was accepted:\n" << R.Output;
+  EXPECT_NE(R.Output.find("kremlin[error]"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find(std::string("for ") + C.Flag +
+                          ": expected an unsigned integer"),
+            std::string::npos)
+      << R.Output;
+}
+
+INSTANTIATE_TEST_SUITE_P(Flags, BadFlagTest, ::testing::ValuesIn(BadFlags),
+                         [](const ::testing::TestParamInfo<BadFlagCase> &I) {
+                           return std::string(I.param.Name);
+                         });
+
 // --- Guardrail flags exercised end to end through the CLI. --------------
 
 TEST(Robustness, ShadowBudgetFlagTripsStructuredError) {

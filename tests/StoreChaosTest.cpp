@@ -1,36 +1,22 @@
 //===- tests/StoreChaosTest.cpp - Crash/corruption chaos harness ----------===//
 //
-// The robustness drill the durable store exists for: a real `kremlin
-// serve --store=` child is killed with SIGKILL mid-ingest, its store files
-// are then corrupted and truncated by hand, and reopening must quarantine
-// exactly the damaged entries by name while every intact profile stays
-// servable. Plus the push-convergence property: `kremlin push` retrying
-// against a fault-injected server merges each profile exactly once,
-// bit-identical to one clean ingest — both through the in-process client
-// API and through the real CLI binary.
+// The robustness drill the durable store exists for: a forked child
+// writing into a ProfileStore is killed with SIGKILL mid-add, its store
+// files are then corrupted and truncated by hand, and reopening must
+// quarantine exactly the damaged entries by name while every intact
+// profile stays loadable.
 //
 //===----------------------------------------------------------------------===//
 
-#include "aggregate/ProfileService.h"
 #include "aggregate/ProfileStore.h"
-#include "aggregate/PushClient.h"
 #include "compress/TraceIO.h"
-#include "support/FaultInjection.h"
-#include "support/Http.h"
 #include "support/Json.h"
-#include "support/StringUtils.h"
-#include "support/Telemetry.h"
 
 #include "gtest/gtest.h"
 
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include <csignal>
 #include <sys/wait.h>
@@ -39,13 +25,11 @@
 using namespace kremlin;
 using namespace kremlin::aggregate;
 namespace fs = std::filesystem;
-namespace tel = kremlin::telemetry;
 
 namespace {
 
-/// A synthetic kremlin-trace body whose content varies with \p LeafWork,
-/// so distinct profiles carry distinct idempotency keys.
-std::string sampleTrace(uint64_t LeafWork) {
+/// A synthetic profile whose content varies with \p LeafWork.
+DictionaryCompressor sampleProfile(uint64_t LeafWork) {
   DictionaryCompressor Dict;
   DynRegionSummary Leaf;
   Leaf.Static = 1;
@@ -58,57 +42,7 @@ std::string sampleTrace(uint64_t LeafWork) {
   Main.Cp = 2 * LeafWork;
   Main.Children.emplace_back(LeafChar, 2);
   Dict.onRootExit(Dict.intern(Main));
-  TraceMeta Meta;
-  Meta.Source = "chaos";
-  return writeTrace(Dict, Meta);
-}
-
-/// Spawns `kremlin serve` with \p ExtraArgs (and, when non-null, a
-/// KREMLIN_FAULT spec in the child's environment), parses the announced
-/// port, and reports the child pid. The caller owns OutFd until after
-/// waitpid.
-bool launchServer(pid_t &Pid, uint16_t &Port, int &OutFd,
-                  const std::vector<std::string> &ExtraArgs,
-                  const char *FaultSpec = nullptr) {
-  int Out[2];
-  if (pipe(Out) != 0)
-    return false;
-  Pid = fork();
-  if (Pid < 0)
-    return false;
-  if (Pid == 0) {
-    dup2(Out[1], STDOUT_FILENO);
-    close(Out[0]);
-    close(Out[1]);
-    if (FaultSpec)
-      setenv("KREMLIN_FAULT", FaultSpec, 1);
-    std::vector<const char *> Argv = {KREMLIN_TOOL_PATH, "serve", "--port=0",
-                                      "--threads=4"};
-    for (const std::string &A : ExtraArgs)
-      Argv.push_back(A.c_str());
-    Argv.push_back(nullptr);
-    execv(KREMLIN_TOOL_PATH,
-          const_cast<char *const *>(
-              reinterpret_cast<const char *const *>(Argv.data())));
-    _exit(127);
-  }
-  close(Out[1]);
-
-  std::string Announce;
-  char C;
-  const std::string Needle = "listening on 127.0.0.1:";
-  size_t At = std::string::npos;
-  while (At == std::string::npos && read(Out[0], &C, 1) == 1) {
-    Announce += C;
-    if (C == '\n')
-      At = Announce.find(Needle);
-  }
-  OutFd = Out[0];
-  if (At == std::string::npos)
-    return false;
-  Port = static_cast<uint16_t>(
-      std::strtoul(Announce.c_str() + At + Needle.size(), nullptr, 10));
-  return Port != 0;
+  return Dict;
 }
 
 std::string freshDir(const char *Tag) {
@@ -118,45 +52,46 @@ std::string freshDir(const char *Tag) {
   return Dir;
 }
 
-// --- The headline drill: SIGKILL mid-ingest, then hand-corruption. ------
+// --- The headline drill: SIGKILL mid-add, then hand-corruption. ---------
 
 TEST(StoreChaos, SigkillMidIngestThenCorruptionQuarantinesByName) {
   std::string Dir = freshDir("kill9");
-  pid_t Pid = -1;
-  uint16_t Port = 0;
-  int OutFd = -1;
-  ASSERT_TRUE(launchServer(Pid, Port, OutFd, {"--store=" + Dir}));
-
-  // Three durable named ingests the crash must not lose.
   const char *Names[] = {"alpha", "beta", "gamma"};
-  for (unsigned I = 0; I < 3; ++I) {
-    Expected<http::ClientResponse> R =
-        http::request("127.0.0.1", Port, "POST",
-                      std::string("/ingest?name=") + Names[I],
-                      sampleTrace(10 + I));
-    ASSERT_TRUE(R.ok()) << R.status().toString();
-    ASSERT_EQ(R->Code, 200) << R->Body;
-  }
+  int Ready[2];
+  ASSERT_EQ(pipe(Ready), 0);
 
-  // Hammer ingests from a side thread and SIGKILL the server mid-flight:
-  // whatever "hammer" write was in progress dies with the process.
-  std::atomic<bool> Stop{false};
-  std::thread Hammer([Port, &Stop] {
-    for (uint64_t W = 100; !Stop.load(); ++W)
-      (void)http::request("127.0.0.1", Port, "POST", "/ingest?name=hammer",
-                          sampleTrace(W));
-  });
-  ::usleep(20 * 1000);
+  // The child makes three durable named adds the crash must not lose,
+  // reports them done, then rewrites "hammer" until it is killed: whatever
+  // write was in progress dies with the process.
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    close(Ready[0]);
+    Expected<ProfileStore> Store = ProfileStore::open(Dir);
+    if (!Store.ok())
+      _exit(2);
+    for (unsigned I = 0; I < 3; ++I)
+      if (!Store.value().add(Names[I], sampleProfile(10 + I)).ok())
+        _exit(3);
+    if (write(Ready[1], "r", 1) != 1)
+      _exit(4);
+    for (uint64_t W = 100;; ++W)
+      (void)Store.value().add("hammer", sampleProfile(W));
+  }
+  close(Ready[1]);
+  char Byte = 0;
+  bool ChildReady = read(Ready[0], &Byte, 1) == 1;
+  close(Ready[0]);
+  if (ChildReady)
+    ::usleep(20 * 1000);
   ASSERT_EQ(kill(Pid, SIGKILL), 0);
   int WaitStatus = 0;
   ASSERT_EQ(waitpid(Pid, &WaitStatus, 0), Pid);
-  Stop = true;
-  Hammer.join();
-  close(OutFd);
+  ASSERT_TRUE(ChildReady) << "child exited early, status " << WaitStatus;
   ASSERT_TRUE(WIFSIGNALED(WaitStatus));
   EXPECT_EQ(WTERMSIG(WaitStatus), SIGKILL);
 
-  // Every acknowledged named ingest reached disk despite the SIGKILL.
+  // Every acknowledged named add reached disk despite the SIGKILL.
   for (const char *Name : Names)
     ASSERT_TRUE(fs::exists(Dir + "/" + Name + ".prof")) << Name;
 
@@ -172,7 +107,7 @@ TEST(StoreChaos, SigkillMidIngestThenCorruptionQuarantinesByName) {
       writeStringToFile(Dir + "/index.json", Index.substr(0, Index.size() / 2)));
 
   // Recovery: the torn index and the mangled blob are quarantined *by
-  // name*; beta and gamma are adopted back and stay servable.
+  // name*; beta and gamma are adopted back and stay loadable.
   Expected<ProfileStore> Store = ProfileStore::open(Dir);
   ASSERT_TRUE(Store.ok()) << Store.status().toString();
   const StoreRecovery &Rec = Store.value().recovery();
@@ -200,201 +135,12 @@ TEST(StoreChaos, SigkillMidIngestThenCorruptionQuarantinesByName) {
   EXPECT_TRUE(Store.value().load("beta").ok());
   EXPECT_TRUE(Store.value().mergeAll().ok());
 
-  // A rebooted `kremlin serve --store=` announces the same recovery and
-  // serves the survivors — the operator-facing half of the drill.
+  // Recovery repaired the store on disk: a second open finds it clean.
   Expected<ProfileStore> Again = ProfileStore::open(Dir);
   ASSERT_TRUE(Again.ok());
   EXPECT_FALSE(Again.value().recovery().dirty())
       << Again.value().recovery().summary();
   fs::remove_all(Dir);
-}
-
-// --- The convergence property: faulted push == one clean ingest. --------
-
-TEST(StoreChaos, PushWithFaultsConvergesToOneCleanIngest) {
-  // Three distinct profiles, written to disk the way a fleet node would
-  // hand them to `kremlin push`.
-  std::string Dir = freshDir("push");
-  fs::create_directories(Dir);
-  std::vector<std::string> Files;
-  for (unsigned I = 0; I < 3; ++I) {
-    std::string Path = Dir + "/node" + std::to_string(I) + ".prof";
-    ASSERT_TRUE(writeStringToFile(Path, sampleTrace(50 + I * 7)));
-    Files.push_back(Path);
-  }
-
-  // The faulted server: every /ingest may be shed (503 + Retry-After) or
-  // fail its ingest drill (503) — both retryable.
-  ServiceOptions SvcOpts;
-  Expected<std::unique_ptr<ProfileService>> Faulted =
-      ProfileService::create(SvcOpts);
-  ASSERT_TRUE(Faulted.ok());
-  http::ServerOptions ServerOpts;
-  Expected<std::unique_ptr<http::Server>> Srv = http::Server::start(
-      ServerOpts,
-      [&Faulted](const http::Request &Req) { return Faulted.value()->handle(Req); });
-  ASSERT_TRUE(Srv.ok()) << Srv.status().toString();
-
-  ASSERT_TRUE(fault::configure("ingest:0.45,shed:0.2", 1234));
-  PushOptions Opts;
-  Opts.Endpoint.Host = "127.0.0.1";
-  Opts.Endpoint.Port = Srv.value()->port();
-  Opts.Retry.MaxRetries = 16;
-  Opts.Retry.Seed = 7;
-  unsigned TotalAttempts = 0, SleepCalls = 0;
-  Opts.Sleep = [&SleepCalls](unsigned) { ++SleepCalls; }; // No real waiting.
-
-  // Trace the whole drill: client attempt spans and server request spans
-  // land in the same in-process ring, so one trace id must stitch every
-  // retry of a push to its server-side handling.
-  bool WasTracing = tel::traceEnabled();
-  tel::setTraceEnabled(true);
-  tel::takeTrace();
-
-  std::vector<std::pair<std::string, unsigned>> PushTraces; // (id, attempts)
-  for (const std::string &Path : Files) {
-    Expected<PushOutcome> Out = pushProfileFile(Path, Opts);
-    ASSERT_TRUE(Out.ok()) << Out.status().toString();
-    EXPECT_FALSE(Out->Deduplicated);
-    TotalAttempts += Out->Attempts;
-    PushTraces.emplace_back(Out->TraceId, Out->Attempts);
-  }
-  // A retry of content that already landed is acknowledged, not re-merged.
-  Expected<PushOutcome> Replay = pushProfileFile(Files[0], Opts);
-  ASSERT_TRUE(Replay.ok()) << Replay.status().toString();
-  EXPECT_TRUE(Replay->Deduplicated);
-  TotalAttempts += Replay->Attempts;
-  PushTraces.emplace_back(Replay->TraceId, Replay->Attempts);
-  fault::reset();
-
-  std::vector<tel::TraceEvent> Events = tel::takeTrace();
-  tel::setTraceEnabled(WasTracing);
-  // Each push minted one 32-hex trace id, distinct from its siblings.
-  for (unsigned I = 0; I < PushTraces.size(); ++I) {
-    ASSERT_EQ(PushTraces[I].first.size(), 32u);
-    for (unsigned J = I + 1; J < PushTraces.size(); ++J)
-      EXPECT_NE(PushTraces[I].first, PushTraces[J].first);
-  }
-  auto argValue = [](const tel::TraceEvent &E, const char *Key) {
-    for (const auto &[K, V] : E.Args)
-      if (K == Key)
-        return V;
-    return std::string();
-  };
-  for (const auto &[TraceId, Attempts] : PushTraces) {
-    unsigned AttemptSpans = 0, ServerSpans = 0;
-    for (const tel::TraceEvent &E : Events) {
-      if (argValue(E, "trace_id") != TraceId)
-        continue;
-      AttemptSpans += E.Name == "push.attempt";
-      ServerSpans += E.Name == "serve.request";
-    }
-    // Every client attempt — including the faulted ones — carries the one
-    // trace id, and the server saw at least the final successful attempt
-    // under that same id.
-    EXPECT_EQ(AttemptSpans, Attempts) << TraceId;
-    EXPECT_GE(ServerSpans, 1u) << TraceId;
-  }
-
-  // The faults actually bit (the seed guarantees it), the retries absorbed
-  // them (exactly one backoff sleep per retry), and not one profile merged
-  // twice.
-  EXPECT_GT(TotalAttempts, 4u);
-  EXPECT_EQ(SleepCalls, TotalAttempts - 4u);
-  EXPECT_EQ(Faulted.value()->ingestCount(), 3u);
-
-  Expected<http::ClientResponse> FaultedView =
-      http::request("127.0.0.1", Srv.value()->port(), "GET",
-                    "/profile?format=collapsed");
-  ASSERT_TRUE(FaultedView.ok());
-  ASSERT_EQ(FaultedView->Code, 200);
-  Srv.value()->stop();
-
-  // The oracle: one clean, fault-free ingest of each file.
-  Expected<std::unique_ptr<ProfileService>> Clean =
-      ProfileService::create(SvcOpts);
-  ASSERT_TRUE(Clean.ok());
-  for (const std::string &Path : Files) {
-    std::string Body;
-    ASSERT_TRUE(readFileToString(Path, Body));
-    TraceMeta Meta;
-    Expected<DictionaryCompressor> D = readTrace(Body, &Meta);
-    ASSERT_TRUE(D.ok());
-    ASSERT_TRUE(Clean.value()->ingest(D.value(), "", Meta.Source).ok());
-  }
-  http::Request ViewReq;
-  ViewReq.Method = "GET";
-  ViewReq.Path = "/profile";
-  ViewReq.Query["format"] = "collapsed";
-  http::Response CleanView = Clean.value()->handle(ViewReq);
-  ASSERT_EQ(CleanView.Code, 200);
-
-  // Bit-identical merged profiles: retries + dedup changed nothing.
-  EXPECT_EQ(FaultedView->Body, CleanView.Body);
-  fs::remove_all(Dir);
-}
-
-// --- The same property through the real binaries. -----------------------
-
-TEST(StoreChaos, CliPushRetriesAgainstFaultInjectedServer) {
-  std::string StoreDir = freshDir("clistore");
-  std::string WorkDir = freshDir("clipush");
-  fs::create_directories(WorkDir);
-  std::string ProfilePath = WorkDir + "/edge.prof";
-  ASSERT_TRUE(writeStringToFile(ProfilePath, sampleTrace(33)));
-
-  pid_t Pid = -1;
-  uint16_t Port = 0;
-  int OutFd = -1;
-  ASSERT_TRUE(launchServer(Pid, Port, OutFd, {"--store=" + StoreDir},
-                           "ingest:0.3"));
-
-  std::string OutPath = WorkDir + "/push.out";
-  std::string Cmd = std::string(KREMLIN_TOOL_PATH) + " push " + ProfilePath +
-                    " --url=http://127.0.0.1:" + std::to_string(Port) +
-                    " --retries=10 --timeout-ms=5000 > " + OutPath + " 2>&1";
-  int Rc = std::system(Cmd.c_str());
-  ASSERT_TRUE(WIFEXITED(Rc));
-  std::string Output;
-  readFileToString(OutPath, Output);
-  EXPECT_EQ(WEXITSTATUS(Rc), 0) << Output;
-  EXPECT_NE(Output.find("pushed"), std::string::npos) << Output;
-  // The push announces the trace id that stitched its attempts together.
-  EXPECT_NE(Output.find("trace "), std::string::npos) << Output;
-
-  // `kremlin top --once` snapshots the live endpoint's metrics.
-  std::string TopPath = WorkDir + "/top.out";
-  std::string TopCmd = std::string(KREMLIN_TOOL_PATH) +
-                       " top --url=http://127.0.0.1:" + std::to_string(Port) +
-                       " --once > " + TopPath + " 2>&1";
-  int TopRc = std::system(TopCmd.c_str());
-  std::string TopOut;
-  readFileToString(TopPath, TopOut);
-  ASSERT_TRUE(WIFEXITED(TopRc));
-  EXPECT_EQ(WEXITSTATUS(TopRc), 0) << TopOut;
-  EXPECT_NE(TopOut.find("kremlin top:"), std::string::npos) << TopOut;
-  EXPECT_NE(TopOut.find("ingest"), std::string::npos) << TopOut;
-  EXPECT_NE(TopOut.find("queue wait:"), std::string::npos) << TopOut;
-
-  // The push landed exactly once, durably.
-  Expected<http::ClientResponse> Health =
-      http::request("127.0.0.1", Port, "GET", "/healthz");
-  ASSERT_TRUE(Health.ok());
-  EXPECT_EQ(Health->Code, 200);
-  ASSERT_EQ(kill(Pid, SIGTERM), 0);
-  int WaitStatus = 0;
-  ASSERT_EQ(waitpid(Pid, &WaitStatus, 0), Pid);
-  close(OutFd);
-  EXPECT_TRUE(WIFEXITED(WaitStatus));
-  EXPECT_EQ(WEXITSTATUS(WaitStatus), 0);
-
-  Expected<ProfileStore> Store = ProfileStore::open(StoreDir);
-  ASSERT_TRUE(Store.ok()) << Store.status().toString();
-  ASSERT_EQ(Store.value().entries().size(), 1u);
-  EXPECT_EQ(Store.value().entries()[0].Name, "edge");
-  EXPECT_FALSE(Store.value().recovery().dirty());
-  fs::remove_all(StoreDir);
-  fs::remove_all(WorkDir);
 }
 
 } // namespace

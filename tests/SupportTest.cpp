@@ -46,6 +46,40 @@ TEST(StringUtils, SplitAndTrim) {
   EXPECT_EQ(trimString("\t\n  "), "");
 }
 
+TEST(StringUtils, ParseUnsignedIsStrict) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_TRUE(parseUnsigned("255", V, 255));
+  EXPECT_EQ(V, 255u);
+  for (const char *Bad : {"", "-3", "+3", " 3", "3 ", "3x", "1.5", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    V = 7;
+    EXPECT_FALSE(parseUnsigned(Bad, V)) << Bad;
+    EXPECT_EQ(V, 7u) << Bad; // Untouched on failure.
+  }
+  EXPECT_FALSE(parseUnsigned("256", V, 255));
+  EXPECT_FALSE(parseUnsigned("5", V, 0));
+}
+
+TEST(StringUtils, ParseUnsignedFlagScalesAndNamesTheFlag) {
+  uint64_t Bytes = 0;
+  ASSERT_TRUE(parseUnsignedFlag("--max-shadow-mb=3", Bytes, 1 << 20).ok());
+  EXPECT_EQ(Bytes, 3u << 20);
+  // 2^44 MiB does not fit in 64 bits of bytes.
+  Status St = parseUnsignedFlag("--max-shadow-mb=17592186044416", Bytes,
+                                1 << 20);
+  EXPECT_EQ(St.code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(St.message().find("--max-shadow-mb"), std::string::npos)
+      << St.message();
+  unsigned Narrow = 1;
+  EXPECT_FALSE(parseUnsignedFlag("--threads=4294967296", Narrow).ok());
+  EXPECT_FALSE(parseUnsignedFlag("--threads=-3", Narrow).ok());
+  EXPECT_EQ(Narrow, 1u);
+}
+
 TEST(Prng, DeterministicAndInRange) {
   Prng A(42), B(42);
   for (int I = 0; I < 100; ++I)

@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -512,165 +512,21 @@ TEST_F(TelemetryTest, NonEmptyHistogramQuantilesStayNumeric) {
       EXPECT_FALSE(std::isnan(Value)) << Name;
 }
 
-// --- Prometheus text exposition ---------------------------------------------
-
-TEST_F(TelemetryTest, PrometheusExpositionRendersAllKinds) {
-  tel::Registry::global().counter("test.prom.counter").add(7);
-  tel::Registry::global().gauge("test.prom.gauge").set(2.5);
-  tel::Histogram &H = tel::Registry::global().histogram("test.prom.hist");
-  H.record(0);
-  H.record(3);
-  H.record(1000);
-
-  std::string Text = tel::Registry::global().renderPrometheus();
-  EXPECT_NE(Text.find("# TYPE kremlin_test_prom_counter counter\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_counter 7\n"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE kremlin_test_prom_gauge gauge\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_gauge 2.5\n"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE kremlin_test_prom_hist histogram\n"),
-            std::string::npos);
-  // Cumulative log2 buckets with inclusive upper bounds, closed by +Inf.
-  EXPECT_NE(Text.find("kremlin_test_prom_hist_bucket{le=\"0\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_hist_bucket{le=\"3\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_hist_bucket{le=\"1023\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_hist_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_hist_sum 1003\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_hist_count 3\n"),
-            std::string::npos);
-}
-
-TEST_F(TelemetryTest, PrometheusBucketsAreMonotone) {
-  tel::Histogram &H = tel::Registry::global().histogram("test.prom.mono");
-  for (uint64_t V : {1ull, 2ull, 4ull, 8ull, 100ull, 5000ull})
-    H.record(V);
-  std::string Text = tel::Registry::global().renderPrometheus();
-  uint64_t Prev = 0;
-  size_t Pos = 0;
-  unsigned BucketLines = 0;
-  const std::string Needle = "kremlin_test_prom_mono_bucket{le=";
-  while ((Pos = Text.find(Needle, Pos)) != std::string::npos) {
-    size_t Space = Text.find(' ', Pos + Needle.size());
-    uint64_t Cum = std::strtoull(Text.c_str() + Space + 1, nullptr, 10);
-    EXPECT_GE(Cum, Prev);
-    Prev = Cum;
-    ++BucketLines;
-    Pos = Space;
-  }
-  EXPECT_GT(BucketLines, 2u);
-  EXPECT_EQ(Prev, 6u); // The +Inf bucket equals the count.
-}
-
-TEST_F(TelemetryTest, PrometheusEmptyHistogramEmitsOnlyInfBucket) {
-  tel::Registry::global().histogram("test.prom.empty");
-  std::string Text = tel::Registry::global().renderPrometheus();
-  EXPECT_NE(Text.find("kremlin_test_prom_empty_bucket{le=\"+Inf\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("kremlin_test_prom_empty_count 0\n"),
-            std::string::npos);
-}
-
-// --- Trace-context propagation ----------------------------------------------
-
-TEST_F(TelemetryTest, MintedTraceContextsAreWellFormedAndDistinct) {
-  tel::TraceContext A = tel::mintTraceContext();
-  tel::TraceContext B = tel::mintTraceContext();
-  EXPECT_EQ(A.TraceId.size(), 32u);
-  EXPECT_EQ(A.SpanId.size(), 16u);
-  EXPECT_NE(A.TraceId, B.TraceId);
-  EXPECT_NE(A.SpanId, B.SpanId);
-  EXPECT_NE(tel::mintSpanId(), tel::mintSpanId());
-  for (char C : A.TraceId + A.SpanId)
-    EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(C)) &&
-                !std::isupper(static_cast<unsigned char>(C)))
-        << C;
-}
-
-TEST_F(TelemetryTest, TraceparentRoundTrips) {
-  tel::TraceContext Ctx = tel::mintTraceContext();
-  std::string Header = tel::formatTraceparent(Ctx);
-  EXPECT_EQ(Header.size(), 55u);
-  EXPECT_EQ(Header.rfind("00-", 0), 0u);
-  tel::TraceContext Parsed;
-  ASSERT_TRUE(tel::parseTraceparent(Header, Parsed));
-  EXPECT_EQ(Parsed.TraceId, Ctx.TraceId);
-  EXPECT_EQ(Parsed.SpanId, Ctx.SpanId);
-}
-
-TEST_F(TelemetryTest, MalformedTraceparentsAreRejected) {
-  const char *Bad[] = {
-      "",
-      "garbage",
-      "00-abc-def-01",                  // Too short.
-      "01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // Version.
-      "00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", // Uppercase.
-      "00-0af7651916cd43dd8448eb211c80319c-b7ad6b716920333z-01", // Non-hex.
-      "00-00000000000000000000000000000000-b7ad6b7169203331-01", // Zero trace.
-      "00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // Zero span.
-      "00-0af7651916cd43dd8448eb211c80319c b7ad6b7169203331-01", // Bad dash.
-      "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01 trailing",
-  };
-  for (const char *Header : Bad) {
-    tel::TraceContext Out;
-    EXPECT_FALSE(tel::parseTraceparent(Header, Out)) << Header;
-  }
-  // Oversized: a hostile header far past any sane length.
-  std::string Oversized(4096, 'a');
-  tel::TraceContext Out;
-  EXPECT_FALSE(tel::parseTraceparent(Oversized, Out));
-}
-
-TEST_F(TelemetryTest, ScopedTraceContextInstallsAndNests) {
-  EXPECT_EQ(tel::currentTraceContext(), nullptr);
-  tel::TraceContext Outer = tel::mintTraceContext();
-  {
-    tel::ScopedTraceContext OuterScope(Outer);
-    ASSERT_NE(tel::currentTraceContext(), nullptr);
-    EXPECT_EQ(tel::currentTraceContext()->TraceId, Outer.TraceId);
-    tel::TraceContext Inner = tel::mintTraceContext();
-    {
-      tel::ScopedTraceContext InnerScope(Inner);
-      EXPECT_EQ(tel::currentTraceContext()->TraceId, Inner.TraceId);
-    }
-    EXPECT_EQ(tel::currentTraceContext()->TraceId, Outer.TraceId);
-  }
-  EXPECT_EQ(tel::currentTraceContext(), nullptr);
-}
-
-TEST_F(TelemetryTest, SpansRecordTheCurrentTraceId) {
-  tel::setTraceEnabled(true);
-  tel::TraceContext Ctx = tel::mintTraceContext();
-  {
-    tel::ScopedTraceContext Scope(Ctx);
-    tel::Span S("test.traced", "test");
-    tel::recordSpanAt("test.timed", "test", 10, 5);
-    tel::instantEvent("test.instant", "test", {{"trace_id", Ctx.TraceId}});
-  }
-  { tel::Span Outside("test.untraced", "test"); }
-
-  unsigned Stamped = 0;
-  for (const tel::TraceEvent &E : tel::takeTrace()) {
-    bool HasId = false;
-    for (const auto &[K, V] : E.Args)
-      if (K == "trace_id" && V == Ctx.TraceId)
-        HasId = true;
-    if (HasId)
-      ++Stamped;
-    if (E.Name == "test.untraced")
-      EXPECT_FALSE(HasId);
-    if (E.Name == "test.timed") {
-      EXPECT_EQ(E.TimeUs, 10u);
-      EXPECT_EQ(E.DurUs, 5u);
-      EXPECT_TRUE(HasId);
-    }
-  }
-  EXPECT_EQ(Stamped, 3u); // Span + recordSpanAt + instant.
+TEST_F(TelemetryTest, SnapshotQuantilesStayWithinMinAndMax) {
+  // Both samples land in the [2^19, 2^20) bucket, whose inclusive bound
+  // 1048575 exceeds every recorded value (driver.pipeline_us once read
+  // p50 = 1048575 with max = 526503).
+  tel::Histogram &H = tel::Registry::global().histogram("test.clamped");
+  H.record(526503);
+  H.record(600000);
+  ASSERT_EQ(H.quantile(0.5), 1048575u);
+  std::map<std::string, double> Snap;
+  for (const auto &[Name, Value] : tel::Registry::global().snapshot())
+    Snap[Name] = Value;
+  EXPECT_EQ(Snap.at("test.clamped.min"), 526503.0);
+  EXPECT_EQ(Snap.at("test.clamped.max"), 600000.0);
+  EXPECT_EQ(Snap.at("test.clamped.p50"), 600000.0);
+  EXPECT_EQ(Snap.at("test.clamped.p99"), 600000.0);
 }
 
 } // namespace
