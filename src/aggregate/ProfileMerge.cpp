@@ -37,8 +37,7 @@ void aggregate::mergeInto(DictionaryCompressor &Out,
     Remap[C] = Out.intern(std::move(S));
   }
   for (const auto &[Root, Count] : In.roots())
-    for (uint64_t I = 0; I < Count; ++I)
-      Out.onRootExit(Remap[Root]);
+    Out.addRootExits(Remap[Root], Count); // Saturates; mergeInto can't fail.
   Out.setDynamicRegions(TargetDynRegions);
 
   tel::Registry::global().counter("merge.profiles_in").add();

@@ -2,14 +2,15 @@
 
 #include "compress/Dictionary.h"
 
+#include <functional>
+
 using namespace kremlin;
 
 static inline size_t hashCombine(size_t Seed, size_t V) {
   return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
 }
 
-size_t DictionaryCompressor::SummaryHash::operator()(
-    const DynRegionSummary &S) const {
+size_t DictionaryCompressor::hashOf(const DynRegionSummary &S) {
   size_t H = std::hash<uint64_t>()(S.Static);
   H = hashCombine(H, std::hash<uint64_t>()(S.Work));
   H = hashCombine(H, std::hash<uint64_t>()(S.Cp));
@@ -17,30 +18,62 @@ size_t DictionaryCompressor::SummaryHash::operator()(
     H = hashCombine(H, std::hash<uint64_t>()(C));
     H = hashCombine(H, std::hash<uint64_t>()(Freq));
   }
-  return H;
+  // The table masks off the low bits: fold the high bits into them.
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdULL;
+  return H ^ (H >> 33);
+}
+
+void DictionaryCompressor::growIndex() {
+  std::vector<Slot> Old = std::move(Index);
+  Index.assign(Old.empty() ? 16 : 2 * Old.size(), Slot());
+  size_t Mask = Index.size() - 1;
+  for (const Slot &S : Old) {
+    if (S.Char == EmptySlot)
+      continue;
+    size_t I = S.Hash & Mask;
+    while (Index[I].Char != EmptySlot)
+      I = (I + 1) & Mask;
+    Index[I] = S;
+  }
 }
 
 SummaryChar DictionaryCompressor::intern(DynRegionSummary Summary) {
   ++DynRegions;
-  auto It = Index.find(Summary);
-  if (It != Index.end()) {
-    ++Hits;
-    return It->second;
-  }
-  SummaryChar C = static_cast<SummaryChar>(Alphabet.size());
-  Index.emplace(Summary, C);
-  Alphabet.push_back(std::move(Summary));
-  return C;
-}
-
-void DictionaryCompressor::onRootExit(SummaryChar Root) {
-  for (auto &[C, Count] : Roots) {
-    if (C == Root) {
-      ++Count;
-      return;
+  if (2 * (Alphabet.size() + 1) > Index.size())
+    growIndex();
+  size_t H = hashOf(Summary);
+  size_t Mask = Index.size() - 1;
+  for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+    Slot &S = Index[I];
+    if (S.Char == EmptySlot) {
+      S.Hash = H;
+      S.Char = static_cast<SummaryChar>(Alphabet.size());
+      Alphabet.push_back(std::move(Summary));
+      return S.Char;
+    }
+    if (S.Hash == H && Alphabet[S.Char] == Summary) {
+      ++Hits;
+      return S.Char;
     }
   }
-  Roots.emplace_back(Root, 1);
+}
+
+bool DictionaryCompressor::addRootExits(SummaryChar Root, uint64_t Count) {
+  if (Count == 0)
+    return true;
+  for (auto &[C, Total] : Roots) {
+    if (C == Root) {
+      if (Total > UINT64_MAX - Count) {
+        Total = UINT64_MAX;
+        return false;
+      }
+      Total += Count;
+      return true;
+    }
+  }
+  Roots.emplace_back(Root, Count);
+  return true;
 }
 
 std::vector<uint64_t> DictionaryCompressor::computeMultiplicities() const {

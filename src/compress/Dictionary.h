@@ -24,7 +24,6 @@
 #include "rt/RegionSummary.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace kremlin {
@@ -38,7 +37,12 @@ inline constexpr uint64_t RawRecordBytes = 3 * sizeof(uint64_t);
 class DictionaryCompressor : public RegionSummarySink {
 public:
   SummaryChar intern(DynRegionSummary Summary) override;
-  void onRootExit(SummaryChar Root) override;
+  void onRootExit(SummaryChar Root) override { addRootExits(Root, 1); }
+
+  /// Adds \p Count exits of root \p Root at once (a decoded or merged
+  /// root line). The total saturates at UINT64_MAX; returns false when it
+  /// would have overflowed.
+  bool addRootExits(SummaryChar Root, uint64_t Count);
 
   /// The alphabet: every unique dynamic-region summary, in interning order
   /// (children always precede parents).
@@ -76,12 +80,22 @@ public:
   void setDynamicRegions(uint64_t Count) { DynRegions = Count; }
 
 private:
-  struct SummaryHash {
-    size_t operator()(const DynRegionSummary &S) const;
+  /// One slot of the content-addressed index over the alphabet.
+  struct Slot {
+    size_t Hash = 0;
+    SummaryChar Char = EmptySlot;
   };
+  static constexpr SummaryChar EmptySlot = UINT32_MAX;
+
+  static size_t hashOf(const DynRegionSummary &S);
+  /// Doubles Index (16 slots at first) and re-places every entry.
+  void growIndex();
 
   std::vector<DynRegionSummary> Alphabet;
-  std::unordered_map<DynRegionSummary, SummaryChar, SummaryHash> Index;
+  /// Open addressing with linear probing over a power-of-two table at most
+  /// half full. Slots name alphabet characters, so each summary is stored
+  /// once, in Alphabet.
+  std::vector<Slot> Index;
   std::vector<std::pair<SummaryChar, uint64_t>> Roots;
   uint64_t DynRegions = 0;
   uint64_t Hits = 0;

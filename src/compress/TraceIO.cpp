@@ -6,9 +6,12 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace kremlin;
 
@@ -37,6 +40,59 @@ std::string kremlin::writeTrace(const DictionaryCompressor &Dict,
   return Out;
 }
 
+namespace {
+
+/// One cursor over the trace text. Tokens are separated by whitespace
+/// (space, \t, \n, \v, \f, \r); a number is a whole token of unsigned
+/// decimal digits that fits its field.
+class TraceCursor {
+public:
+  explicit TraceCursor(std::string_view Text) : Text(Text) {}
+
+  /// The next token; empty at the end of the text.
+  std::string_view token() {
+    while (Pos < Text.size() && isSpace(Text[Pos]))
+      ++Pos;
+    size_t Start = Pos;
+    while (Pos < Text.size() && !isSpace(Text[Pos]))
+      ++Pos;
+    return Text.substr(Start, Pos - Start);
+  }
+
+  /// Reads the next token into \p Out; false unless it is a number.
+  template <typename T> bool number(T &Out) {
+    std::string_view Tok = token();
+    const char *End = Tok.data() + Tok.size();
+    auto [Ptr, Ec] = std::from_chars(Tok.data(), End, Out);
+    return Ec == std::errc() && Ptr == End;
+  }
+
+  /// Bytes not yet consumed.
+  size_t remaining() const { return Text.size() - Pos; }
+
+  /// The rest of the current line, consuming its newline.
+  std::string_view restOfLine() {
+    size_t Start = Pos;
+    while (Pos < Text.size() && Text[Pos] != '\n')
+      ++Pos;
+    std::string_view Line = Text.substr(Start, Pos - Start);
+    if (Pos < Text.size())
+      ++Pos;
+    return Line;
+  }
+
+private:
+  std::string_view Text;
+  size_t Pos = 0;
+
+  static bool isSpace(char C) {
+    return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+           C == '\r';
+  }
+};
+
+} // namespace
+
 Expected<DictionaryCompressor> kremlin::readTrace(const std::string &Text,
                                                   TraceMeta *Meta) {
   auto Malformed = [](std::string Msg) {
@@ -50,10 +106,9 @@ Expected<DictionaryCompressor> kremlin::readTrace(const std::string &Text,
         .withStage("trace-decode");
 
   DictionaryCompressor Dict;
-  std::istringstream In(Text);
-  std::string Keyword;
+  TraceCursor In(Text);
   unsigned Version = 0;
-  if (!(In >> Keyword >> Version) || Keyword != "kremlin-trace")
+  if (In.token() != "kremlin-trace" || !In.number(Version))
     return Malformed("not a kremlin-trace file");
   // An incompatible schema fails here, by name, instead of as an obscure
   // downstream parse error: the versions involved are in the message.
@@ -63,32 +118,32 @@ Expected<DictionaryCompressor> kremlin::readTrace(const std::string &Text,
         "(readers accept %u-%u)",
         Version, TraceSchemaVersion, MinTraceSchemaVersion,
         TraceSchemaVersion));
-  if (!(In >> Keyword))
-    return Malformed("missing regions header");
+  std::string_view Keyword = In.token();
   if (Keyword == "source") {
     // v2 provenance: the rest of the line is the source name.
-    std::string Line;
-    std::getline(In, Line);
+    std::string_view Line = In.restOfLine();
     if (Meta)
       Meta->Source = std::string(trimString(Line));
-    if (!(In >> Keyword))
-      return Malformed("missing regions header");
+    Keyword = In.token();
   }
   size_t NumEntries = 0;
-  if (Keyword != "regions" || !(In >> NumEntries))
+  if (Keyword != "regions" || !In.number(NumEntries))
     return Malformed("missing regions header");
   uint64_t SeenDynRegions = 0;
   for (size_t E = 0; E < NumEntries; ++E) {
     DynRegionSummary S;
     size_t NumChildren = 0;
-    if (!(In >> Keyword >> S.Static >> S.Work >> S.Cp >> NumChildren) ||
-        Keyword != "entry")
+    if (In.token() != "entry" || !In.number(S.Static) ||
+        !In.number(S.Work) || !In.number(S.Cp) || !In.number(NumChildren))
       return Malformed(formatString(
           "malformed entry %zu (truncated trace?)", E));
+    // Every child takes at least four bytes ("c f "), which bounds what a
+    // hostile count can reserve.
+    S.Children.reserve(std::min(NumChildren, In.remaining() / 4));
     for (size_t C = 0; C < NumChildren; ++C) {
       SummaryChar Child = 0;
       uint64_t Freq = 0;
-      if (!(In >> Child >> Freq))
+      if (!In.number(Child) || !In.number(Freq))
         return Malformed(formatString("malformed children of entry %zu", E));
       if (Child >= E)
         // Alphabet grows leaves-first: a child must precede its parent.
@@ -104,22 +159,24 @@ Expected<DictionaryCompressor> kremlin::readTrace(const std::string &Text,
       return Malformed(formatString("duplicate alphabet entry %zu", E));
   }
   // Roots and the dynamic-region count.
-  while (In >> Keyword) {
+  for (Keyword = In.token(); !Keyword.empty(); Keyword = In.token()) {
     if (Keyword == "root") {
       SummaryChar Root = 0;
       uint64_t Count = 0;
-      if (!(In >> Root >> Count) || Root >= Dict.alphabet().size())
+      if (!In.number(Root) || !In.number(Count) ||
+          Root >= Dict.alphabet().size())
         return Malformed(
             "malformed root line (dictionary index out of range)");
-      for (uint64_t I = 0; I < Count; ++I)
-        Dict.onRootExit(Root);
+      if (!Dict.addRootExits(Root, Count))
+        return Malformed(formatString(
+            "root %u: exit count overflows 64 bits", Root));
     } else if (Keyword == "dynregions") {
       uint64_t Total = 0;
-      if (!(In >> Total) || Total < SeenDynRegions)
+      if (!In.number(Total) || Total < SeenDynRegions)
         return Malformed("malformed dynregions line");
       Dict.setDynamicRegions(Total);
     } else {
-      return Malformed("unknown keyword '" + Keyword + "'");
+      return Malformed("unknown keyword '" + std::string(Keyword) + "'");
     }
   }
   return Dict;

@@ -20,6 +20,12 @@
 ///   root <char> <count>
 ///   dynregions <count>
 ///
+/// Tokens are separated by whitespace (space, tab, \n, \r, \v, \f). Every
+/// number is a whole token of unsigned decimal digits that fits its field
+/// (32 bits for region ids and characters, 64 for counts): a sign, a
+/// trailing non-digit or an overflow is a DecodeError, as is a root count
+/// whose total would overflow 64 bits.
+///
 /// Version history: v1 had no `source` line; v1 files still parse. A file
 /// whose version is outside [MinTraceSchemaVersion, TraceSchemaVersion] is
 /// rejected with a structured DecodeError naming the found and expected

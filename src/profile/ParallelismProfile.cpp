@@ -40,6 +40,20 @@ kremlin::summarySelfParallelism(const DynRegionSummary &S,
   return SP < 1.0 ? 1.0 : SP;
 }
 
+Status kremlin::checkTraceRegions(const Module &M,
+                                 const DictionaryCompressor &Dict) {
+  for (const DynRegionSummary &S : Dict.alphabet())
+    if (S.Static >= M.Regions.size())
+      return Status::error(
+                 ErrorCode::InvalidArgument,
+                 formatString("trace names region %u but %s has %zu "
+                              "regions (profile of another program?)",
+                              S.Static, M.SourceName.c_str(),
+                              M.Regions.size()))
+          .withStage("profile");
+  return Status::success();
+}
+
 ParallelismProfile::ParallelismProfile(const Module &Mod,
                                        const DictionaryCompressor &Dict,
                                        double DoallTolerance)

@@ -27,6 +27,7 @@
 
 #include "compress/Dictionary.h"
 #include "ir/Module.h"
+#include "support/Status.h"
 
 #include <string>
 #include <vector>
@@ -88,6 +89,11 @@ struct RegionEdge {
   /// Dynamic occurrence count.
   uint64_t Count = 0;
 };
+
+/// Checks that every region id in \p Dict names one of \p M's regions. A
+/// trace saved from another program fails here, naming the id and the
+/// region count, instead of indexing past the profile's region table.
+Status checkTraceRegions(const Module &M, const DictionaryCompressor &Dict);
 
 /// The whole-program parallelism profile.
 class ParallelismProfile {

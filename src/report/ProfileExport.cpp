@@ -7,7 +7,7 @@
 #include "support/TablePrinter.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <charconv>
 #include <unordered_set>
 
 using namespace kremlin;
@@ -102,11 +102,32 @@ RegionTree report::buildRegionTree(const ParallelismProfile &P,
   return std::move(B.Tree);
 }
 
-std::string report::frameLabel(const Module &M, const RegionProfileEntry &E) {
+/// Appends the human frame label "name file.c (4-9) [loop SP=7.9]" to
+/// \p Label, piece by piece: it runs once per speedscope frame, where
+/// printf-style formatting would dominate the export.
+static void appendFrameLabel(std::string &Label, const Module &M,
+                             const RegionProfileEntry &E) {
   const StaticRegion &R = M.Regions[E.Id];
-  return formatString("%s %s [%s SP=%s]", R.Name.c_str(),
-                      R.sourceSpan().c_str(), regionKindName(R.Kind),
-                      formatFixed(E.SelfParallelism, 1).c_str());
+  char Buf[328]; // Fits any finite double in fixed notation.
+  Label += R.Name;
+  Label += ' ';
+  if (R.File.empty()) {
+    Label += R.Name;
+  } else {
+    Label += R.File;
+    Label += " (";
+    Label.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), R.StartLine).ptr);
+    Label += '-';
+    Label.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), R.EndLine).ptr);
+    Label += ')';
+  }
+  Label += " [";
+  Label += regionKindName(R.Kind);
+  Label += " SP=";
+  Label.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), E.SelfParallelism,
+                                  std::chars_format::fixed, 1)
+                        .ptr);
+  Label += ']';
 }
 
 // --- speedscope -------------------------------------------------------------
@@ -116,64 +137,83 @@ std::string report::exportSpeedscope(const ParallelismProfile &P,
                                      const std::string &Name) {
   const Module &M = P.module();
 
-  // One shared frame per static region (several tree nodes may share it).
-  JsonValue Frames = JsonValue::makeArray();
-  std::unordered_map<RegionId, int> FrameIndex;
-  auto frameFor = [&](RegionId R) {
-    auto It = FrameIndex.find(R);
-    if (It != FrameIndex.end())
-      return It->second;
-    const StaticRegion &SR = M.Regions[R];
-    JsonValue F = JsonValue::makeObject();
-    F.set("name", JsonValue(frameLabel(M, P.entry(R))));
-    if (!SR.File.empty())
-      F.set("file", JsonValue(SR.File));
-    if (SR.StartLine)
-      F.set("line", JsonValue(SR.StartLine));
-    int Idx = static_cast<int>(Frames.size());
-    Frames.push(std::move(F));
-    FrameIndex.emplace(R, Idx);
-    return Idx;
-  };
-
-  JsonValue Samples = JsonValue::makeArray();
-  JsonValue Weights = JsonValue::makeArray();
+  // One shared frame per static region (several tree nodes may share it),
+  // numbered in first use: samples in preorder, each stack root to leaf.
+  // Samples are stored flat, one frame index per stack level.
+  std::vector<int> FrameOf(M.Regions.size(), -1);
+  std::vector<RegionId> Frames;
+  std::vector<int> Stacks;
+  std::vector<size_t> StackEnds;
+  std::vector<RegionId> Path; // Regions from the root to the current node.
   uint64_t Total = 0;
-  for (size_t I = 0; I < T.Nodes.size(); ++I) {
-    const RegionTreeNode &N = T.Nodes[I];
+  for (const RegionTreeNode &N : T.Nodes) {
+    Path.resize(N.Depth);
+    Path.push_back(N.Region);
     if (N.SelfWork == 0)
       continue;
-    JsonValue Stack = JsonValue::makeArray();
-    for (int Step : pathTo(T, static_cast<int>(I)))
-      Stack.push(JsonValue(frameFor(T.Nodes[static_cast<size_t>(Step)].Region)));
-    Samples.push(std::move(Stack));
-    Weights.push(JsonValue(N.SelfWork));
+    for (RegionId R : Path) {
+      if (FrameOf[R] < 0) {
+        FrameOf[R] = static_cast<int>(Frames.size());
+        Frames.push_back(R);
+      }
+      Stacks.push_back(FrameOf[R]);
+    }
+    StackEnds.push_back(Stacks.size());
     Total += N.SelfWork;
   }
 
-  JsonValue Profile = JsonValue::makeObject();
-  Profile.set("type", JsonValue("sampled"));
-  Profile.set("name", JsonValue(Name));
-  Profile.set("unit", JsonValue("none")); // Weights are abstract work units.
-  Profile.set("startValue", JsonValue(0));
-  Profile.set("endValue", JsonValue(Total));
-  Profile.set("samples", std::move(Samples));
-  Profile.set("weights", std::move(Weights));
-
-  JsonValue Shared = JsonValue::makeObject();
-  Shared.set("frames", std::move(Frames));
-
-  JsonValue Doc = JsonValue::makeObject();
-  Doc.set("$schema",
-          JsonValue("https://www.speedscope.app/file-format-schema.json"));
-  Doc.set("name", JsonValue(Name));
-  Doc.set("activeProfileIndex", JsonValue(0));
-  Doc.set("exporter", JsonValue("kremlin report"));
-  Doc.set("shared", std::move(Shared));
-  JsonValue Profiles = JsonValue::makeArray();
-  Profiles.push(std::move(Profile));
-  Doc.set("profiles", std::move(Profiles));
-  return Doc.serialize() + "\n";
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject();
+  W.key("$schema").string(
+      "https://www.speedscope.app/file-format-schema.json");
+  W.key("name").string(Name);
+  W.key("activeProfileIndex").number(0);
+  W.key("exporter").string("kremlin report");
+  W.key("shared").beginObject();
+  W.key("frames").beginArray();
+  std::string Label;
+  for (RegionId R : Frames) {
+    const StaticRegion &SR = M.Regions[R];
+    Label.clear();
+    appendFrameLabel(Label, M, P.entry(R));
+    W.beginObject();
+    W.key("name").string(Label);
+    if (!SR.File.empty())
+      W.key("file").string(SR.File);
+    if (SR.StartLine)
+      W.key("line").number(SR.StartLine);
+    W.endObject();
+  }
+  W.endArray();
+  W.endObject();
+  W.key("profiles").beginArray();
+  W.beginObject();
+  W.key("type").string("sampled");
+  W.key("name").string(Name);
+  W.key("unit").string("none"); // Weights are abstract work units.
+  W.key("startValue").number(0);
+  W.key("endValue").number(static_cast<double>(Total));
+  W.key("samples").beginArray();
+  size_t Begin = 0;
+  for (size_t End : StackEnds) {
+    W.beginArray();
+    for (size_t I = Begin; I < End; ++I)
+      W.number(Stacks[I]);
+    W.endArray();
+    Begin = End;
+  }
+  W.endArray();
+  W.key("weights").beginArray();
+  for (const RegionTreeNode &N : T.Nodes)
+    if (N.SelfWork != 0)
+      W.number(static_cast<double>(N.SelfWork));
+  W.endArray();
+  W.endObject();
+  W.endArray();
+  W.endObject();
+  Out += '\n';
+  return Out;
 }
 
 // --- collapsed stacks -------------------------------------------------------
@@ -222,43 +262,46 @@ std::string report::exportTimeline(const ParallelismProfile &P,
   if (Opts.Top && Order.size() > Opts.Top)
     Order.resize(Opts.Top);
 
-  JsonValue Regions = JsonValue::makeArray();
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject();
+  W.key("program_work").number(static_cast<double>(P.programWork()));
+  W.key("regions").beginArray();
   for (const RegionProfileEntry *E : Order) {
     const StaticRegion &SR = M.Regions[E->Id];
-    JsonValue R = JsonValue::makeObject();
-    R.set("region", JsonValue(E->Id));
-    R.set("name", JsonValue(SR.Name));
-    R.set("kind", JsonValue(regionKindName(SR.Kind)));
-    R.set("source", JsonValue(SR.sourceSpan()));
-    R.set("coverage_pct", JsonValue(E->CoveragePct));
-    R.set("self_parallelism", JsonValue(E->SelfParallelism));
-    R.set("total_parallelism", JsonValue(E->TotalParallelism));
+    W.beginObject();
+    W.key("region").number(E->Id);
+    W.key("name").string(SR.Name);
+    W.key("kind").string(regionKindName(SR.Kind));
+    W.key("source").string(SR.sourceSpan());
+    W.key("coverage_pct").number(E->CoveragePct);
+    W.key("self_parallelism").number(E->SelfParallelism);
+    W.key("total_parallelism").number(E->TotalParallelism);
     if (SR.Kind == RegionKind::Loop)
-      R.set("loop_class", JsonValue(loopClassName(E->Class)));
+      W.key("loop_class").string(loopClassName(E->Class));
 
     // One timeline point per unique dynamic behavior of this region: the
     // alphabet entry stands for Mult[i] identical dynamic visits.
-    JsonValue Visits = JsonValue::makeArray();
+    W.key("visits").beginArray();
     for (size_t I = 0; I < Alphabet.size(); ++I) {
       const DynRegionSummary &S = Alphabet[I];
       if (S.Static != E->Id)
         continue;
-      JsonValue V = JsonValue::makeObject();
-      V.set("work", JsonValue(S.Work));
-      V.set("cp", JsonValue(static_cast<uint64_t>(S.Cp)));
-      V.set("self_parallelism",
-            JsonValue(summarySelfParallelism(S, Alphabet)));
-      V.set("count", JsonValue(Mult[I]));
-      Visits.push(std::move(V));
+      W.beginObject();
+      W.key("work").number(static_cast<double>(S.Work));
+      W.key("cp").number(static_cast<double>(S.Cp));
+      W.key("self_parallelism")
+          .number(summarySelfParallelism(S, Alphabet));
+      W.key("count").number(static_cast<double>(Mult[I]));
+      W.endObject();
     }
-    R.set("visits", std::move(Visits));
-    Regions.push(std::move(R));
+    W.endArray();
+    W.endObject();
   }
-
-  JsonValue Doc = JsonValue::makeObject();
-  Doc.set("program_work", JsonValue(P.programWork()));
-  Doc.set("regions", std::move(Regions));
-  return Doc.serialize() + "\n";
+  W.endArray();
+  W.endObject();
+  Out += '\n';
+  return Out;
 }
 
 // --- terminal tree ----------------------------------------------------------

@@ -80,9 +80,6 @@ struct RegionTree {
 RegionTree buildRegionTree(const ParallelismProfile &P,
                            const ReportOptions &Opts = ReportOptions());
 
-/// Human frame label: "name file.c(4-9) [loop SP=7.9]".
-std::string frameLabel(const Module &M, const RegionProfileEntry &E);
-
 /// Speedscope file-format JSON (validated: output always parses). \p Name
 /// labels the profile inside the UI.
 std::string exportSpeedscope(const ParallelismProfile &P, const RegionTree &T,

@@ -145,8 +145,14 @@ int report::reportMain(const std::vector<std::string> &Args) {
   const DictionaryCompressor &Dict =
       LoadedDict ? *LoadedDict : *Result.Dict;
   std::unique_ptr<ParallelismProfile> LoadedProfile;
-  if (LoadedDict)
+  if (LoadedDict) {
+    Status Fits = checkTraceRegions(*Result.M, Dict);
+    if (!Fits.ok()) {
+      tel::logError("report", Fits.withInput(LoadTracePath).toString());
+      return 1;
+    }
     LoadedProfile = std::make_unique<ParallelismProfile>(*Result.M, Dict);
+  }
   const ParallelismProfile &Profile =
       LoadedProfile ? *LoadedProfile : *Result.Profile;
 

@@ -5,6 +5,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,25 +34,52 @@ const JsonValue *JsonValue::get(std::string_view Key) const {
   return nullptr;
 }
 
-std::string kremlin::formatJsonNumber(double V) {
-  if (!std::isfinite(V))
-    return "null"; // JSON has no inf/nan; emit null rather than garbage.
+/// Appends \p V in its shortest round-trip form.
+static void appendNumber(std::string &Out, double V) {
+  if (!std::isfinite(V)) {
+    Out += "null"; // JSON has no inf/nan; emit null rather than garbage.
+    return;
+  }
+  char Buf[32];
   // Integers (the common case for counters) print exactly, without
   // exponent noise, up to the 2^53 precision limit.
-  if (V == std::floor(V) && std::fabs(V) < 9.007199254740992e15)
-    return formatString("%.0f", V);
-  // Shortest form that round-trips: try increasing precision.
-  for (int Prec = 15; Prec <= 17; ++Prec) {
-    std::string S = formatString("%.*g", Prec, V);
-    if (std::strtod(S.c_str(), nullptr) == V)
-      return S;
+  if (V == std::floor(V) && std::fabs(V) < 9.007199254740992e15) {
+    if (V == 0 && std::signbit(V)) {
+      Out += "-0"; // The integer conversion would drop the sign.
+      return;
+    }
+    char *End = std::to_chars(Buf, Buf + sizeof(Buf),
+                              static_cast<int64_t>(V))
+                    .ptr;
+    Out.append(Buf, End);
+    return;
   }
-  return formatString("%.17g", V);
+  // Shortest form that round-trips: try increasing precision; 17
+  // significant digits always do.
+  for (int Prec = 15;; ++Prec) {
+    int Len = std::snprintf(Buf, sizeof(Buf), "%.*g", Prec, V);
+    if (Prec == 17 || std::strtod(Buf, nullptr) == V) {
+      Out.append(Buf, static_cast<size_t>(Len));
+      return;
+    }
+  }
 }
 
-static void appendEscaped(std::string &Out, const std::string &S) {
+std::string kremlin::formatJsonNumber(double V) {
+  std::string Out;
+  appendNumber(Out, V);
+  return Out;
+}
+
+static void appendEscaped(std::string &Out, std::string_view S) {
   Out += '"';
-  for (char C : S) {
+  size_t Plain = 0; // Start of the run of characters that need no escape.
+  for (size_t I = 0; I < S.size(); ++I) {
+    char C = S[I];
+    if (static_cast<unsigned char>(C) >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Plain, I - Plain);
+    Plain = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -74,74 +102,121 @@ static void appendEscaped(std::string &Out, const std::string &S) {
     case '\f':
       Out += "\\f";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
+    default: {
+      auto Code = static_cast<unsigned char>(C);
+      Out += "\\u00";
+      Out += "0123456789abcdef"[Code >> 4];
+      Out += "0123456789abcdef"[Code & 0xf];
+    }
     }
   }
+  Out.append(S.data() + Plain, S.size() - Plain);
   Out += '"';
 }
 
-static void serializeInto(const JsonValue &V, std::string &Out,
-                          unsigned Depth) {
-  const std::string Pad(2 * (Depth + 1), ' ');
-  const std::string ClosePad(2 * Depth, ' ');
+// --- JsonWriter -------------------------------------------------------------
+
+void JsonWriter::newLine(bool Comma, size_t Depth) {
+  // One append for the common depths: ",\n" and the indentation.
+  static const std::string Breaks = ",\n" + std::string(64, ' ');
+  size_t Len = 2 + 2 * Depth;
+  if (Len <= Breaks.size()) {
+    Out.append(Breaks, Comma ? 0 : 1, Comma ? Len : Len - 1);
+    return;
+  }
+  Out += Comma ? ",\n" : "\n";
+  Out.append(2 * Depth, ' ');
+}
+
+void JsonWriter::beforeValue() {
+  if (AfterKey) {
+    AfterKey = false;
+    return;
+  }
+  if (Open.empty())
+    return;
+  bool Comma = Open.back();
+  Open.back() = true;
+  newLine(Comma, Indent + Open.size());
+}
+
+void JsonWriter::open(char C) {
+  beforeValue();
+  Out += C;
+  Open.push_back(false);
+}
+
+void JsonWriter::close(char C) {
+  bool HadItems = Open.back();
+  Open.pop_back();
+  if (HadItems)
+    newLine(false, Indent + Open.size());
+  Out += C;
+}
+
+JsonWriter &JsonWriter::key(std::string_view K) {
+  beforeValue();
+  appendEscaped(Out, K);
+  Out += ": ";
+  AfterKey = true;
+  return *this;
+}
+
+void JsonWriter::string(std::string_view S) {
+  beforeValue();
+  appendEscaped(Out, S);
+}
+
+void JsonWriter::number(double V) {
+  beforeValue();
+  appendNumber(Out, V);
+}
+
+void JsonWriter::boolean(bool V) {
+  beforeValue();
+  Out += V ? "true" : "false";
+}
+
+void JsonWriter::null() {
+  beforeValue();
+  Out += "null";
+}
+
+static void writeValue(JsonWriter &W, const JsonValue &V) {
   switch (V.kind()) {
   case JsonValue::Kind::Null:
-    Out += "null";
+    W.null();
     break;
   case JsonValue::Kind::Bool:
-    Out += V.asBool() ? "true" : "false";
+    W.boolean(V.asBool());
     break;
   case JsonValue::Kind::Number:
-    Out += formatJsonNumber(V.asNumber());
+    W.number(V.asNumber());
     break;
   case JsonValue::Kind::String:
-    appendEscaped(Out, V.asString());
+    W.string(V.asString());
     break;
-  case JsonValue::Kind::Array: {
-    if (V.size() == 0) {
-      Out += "[]";
-      break;
-    }
-    Out += "[\n";
-    for (size_t I = 0; I < V.size(); ++I) {
-      Out += Pad;
-      serializeInto(V.at(I), Out, Depth + 1);
-      if (I + 1 < V.size())
-        Out += ',';
-      Out += '\n';
-    }
-    Out += ClosePad + "]";
+  case JsonValue::Kind::Array:
+    W.beginArray();
+    for (size_t I = 0; I < V.size(); ++I)
+      writeValue(W, V.at(I));
+    W.endArray();
     break;
-  }
-  case JsonValue::Kind::Object: {
-    if (V.members().empty()) {
-      Out += "{}";
-      break;
-    }
-    Out += "{\n";
-    size_t I = 0;
+  case JsonValue::Kind::Object:
+    W.beginObject();
     for (const auto &M : V.members()) {
-      Out += Pad;
-      appendEscaped(Out, M.first);
-      Out += ": ";
-      serializeInto(M.second, Out, Depth + 1);
-      if (++I < V.members().size())
-        Out += ',';
-      Out += '\n';
+      W.key(M.first);
+      writeValue(W, M.second);
     }
-    Out += ClosePad + "}";
+    W.endObject();
     break;
-  }
   }
 }
 
 std::string JsonValue::serialize(unsigned Indent) const {
   std::string Out;
-  serializeInto(*this, Out, Indent);
+  JsonWriter W(Out, Indent);
+  writeValue(W, *this);
   return Out;
 }
 

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small dependency-free JSON library for the bench/regression tooling:
-/// an insertion-ordered value type, a strict recursive-descent parser, and
-/// a pretty-printing serializer whose number formatting round-trips
+/// A small dependency-free JSON library for the bench/regression tooling
+/// and the report exports: an insertion-ordered value type, a strict
+/// recursive-descent parser, and a streaming writer (JsonWriter) that owns
+/// the pretty-printed layout and whose number formatting round-trips
 /// doubles. Objects preserve insertion order so emitted reports stay in
 /// suite order and diffs against checked-in baselines are stable.
 ///
@@ -108,6 +109,43 @@ private:
 
 /// Formats \p V the way the serializer does (shortest round-trip form).
 std::string formatJsonNumber(double V);
+
+/// Streams JSON text straight into a string, with no value tree in
+/// between. It owns the layout JsonValue::serialize() prints: two-space
+/// indentation from a starting depth, one member or element per line,
+/// "[]" and "{}" for empty containers. Callers nest begin/end calls and
+/// give every object member a key() before its value.
+class JsonWriter {
+public:
+  /// Appends to \p Out; \p Indent is the starting depth.
+  explicit JsonWriter(std::string &Out, unsigned Indent = 0)
+      : Out(Out), Indent(Indent) {}
+
+  void beginObject() { open('{'); }
+  void endObject() { close('}'); }
+  void beginArray() { open('['); }
+  void endArray() { close(']'); }
+  /// Starts the next object member; its value follows
+  /// (`W.key("n").number(1)`).
+  JsonWriter &key(std::string_view K);
+  void string(std::string_view S);
+  void number(double V);
+  void boolean(bool V);
+  void null();
+
+private:
+  std::string &Out;
+  unsigned Indent;
+  /// One flag per open container: whether it holds an item yet.
+  std::vector<char> Open;
+  /// A key() was just written, so its value needs no separator.
+  bool AfterKey = false;
+
+  void beforeValue();
+  void open(char C);
+  void close(char C);
+  void newLine(bool Comma, size_t Depth);
+};
 
 /// Reads an entire file into \p Out; false on I/O failure.
 bool readFileToString(const std::string &Path, std::string &Out);

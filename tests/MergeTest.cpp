@@ -280,6 +280,18 @@ TEST(Merge, MatchesMultiRunAggregationExactly) {
   EXPECT_EQ(Merged.numDynamicRegions(), 2 * Run.Dict->numDynamicRegions());
 }
 
+TEST(Merge, LargeRootCountsMergeInBoundedTime) {
+  // Merging adds each input root line's count at once, not once per run.
+  Expected<DictionaryCompressor> D =
+      readTrace("kremlin-trace 2\nregions 1\nentry 0 10 5 0\n"
+                "root 0 1000000000000\ndynregions 1\n");
+  ASSERT_TRUE(D.ok()) << D.status().toString();
+  DictionaryCompressor M = mergeProfiles({&*D, &*D});
+  std::vector<std::pair<SummaryChar, uint64_t>> Want = {{0, 2000000000000}};
+  EXPECT_EQ(M.roots(), Want);
+  EXPECT_EQ(M.numDynamicRegions(), 2u);
+}
+
 TEST(Merge, DiffRendersDeltasAndOneSidedRegions) {
   DictionaryCompressor A = randomProfile(11);
   DictionaryCompressor B = mergeProfiles({&A, &A});

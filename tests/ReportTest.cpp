@@ -240,6 +240,24 @@ TEST(ReportTreeView, RendersAlignedRowsWithLoopClasses) {
   EXPECT_EQ(splitString(Short, '\n').size(), 5u); // Trailing "" included.
 }
 
+TEST(ReportJson, StreamedLayoutMatchesTheSerializerOnPaperPrograms) {
+  // The exports stream through JsonWriter; the DOM serializer lays out
+  // the same document identically.
+  for (const std::string &Name : paperBenchmarkNames()) {
+    DriverResult DR = profilePaperProgram(Name);
+    ASSERT_TRUE(DR.Profile && DR.Dict) << Name;
+    RegionTree T = buildRegionTree(*DR.Profile);
+    for (const std::string &Out :
+         {exportSpeedscope(*DR.Profile, T, Name + ".c"),
+          exportTimeline(*DR.Profile, *DR.Dict)}) {
+      JsonValue Doc;
+      std::string Error;
+      ASSERT_TRUE(JsonValue::parse(Out, Doc, &Error)) << Name << ": " << Error;
+      EXPECT_EQ(Out, Doc.serialize() + "\n") << Name;
+    }
+  }
+}
+
 TEST(ReportGolden, SpeedscopeOutputIsStable) {
   ProfiledRun Run = goldenRun();
   RegionTree T = buildRegionTree(*Run.Profile);

@@ -6,8 +6,8 @@
 // process exits nonzero *by returning* (no signal, no abort), and stderr
 // carries a one-line structured diagnostic naming the input.
 //
-// The corpus directory and tool path are injected by CMake as
-// KREMLIN_CORPUS_DIR / KREMLIN_TOOL_PATH.
+// The corpus directory, examples directory and tool path are injected by
+// CMake as KREMLIN_CORPUS_DIR / KREMLIN_EXAMPLES_DIR / KREMLIN_TOOL_PATH.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,9 @@ RunResult runTool(const std::string &Args) {
 /// the diagnostic must contain (beyond naming the input itself).
 struct CorpusCase {
   const char *File;
-  /// "source" runs `kremlin <file>`; "trace" runs `kremlin --load-trace=`.
+  /// "source" runs `kremlin <file>`; "trace" runs `kremlin --load-trace=`;
+  /// "report" renders a tree report of the shipped quickstart example
+  /// from the file as its saved trace.
   const char *Mode;
   const char *ExpectInDiagnostic;
 };
@@ -66,6 +68,10 @@ const CorpusCase Corpus[] = {
     {"truncated_trace.ktrace", "trace", "truncated"},
     {"dict_index_oob.ktrace", "trace", "dictionary index out of range"},
     {"root_out_of_range.ktrace", "trace", "dictionary index out of range"},
+    // A sign is not a digit: `entry -1` must not wrap to region 4294967295.
+    {"neg_region_id.ktrace", "trace", "malformed entry 0"},
+    // A well-formed trace whose region ids exceed the module's table.
+    {"foreign_region_id.ktrace", "report", "region 999"},
 };
 
 /// Names the case by its corpus file in test listings, so the listed name
@@ -81,9 +87,13 @@ TEST_P(RobustnessTest, ErrorNotCrash) {
   // The corpus file must exist (guards against renames going stale).
   ASSERT_TRUE(std::ifstream(Path).good()) << Path;
 
-  std::string Args = C.Mode == std::string("trace")
-                         ? "--load-trace=" + Path
-                         : Path;
+  std::string Mode = C.Mode;
+  std::string Args = Path;
+  if (Mode == "trace")
+    Args = "--load-trace=" + Path;
+  else if (Mode == "report")
+    Args = "report --format=tree --load-trace=" + Path + " " +
+           KREMLIN_EXAMPLES_DIR + "/minic/quickstart.c";
   RunResult R = runTool(Args);
   EXPECT_TRUE(R.ExitedCleanly)
       << C.File << " killed the tool with a signal:\n" << R.Output;

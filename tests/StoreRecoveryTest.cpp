@@ -62,6 +62,11 @@ const StoreCase Cases[] = {
     {"v1_index", 1, 0, 1, 0, "", ""},
 };
 
+/// Names the case by its fixture directory in test listings, so the listed
+/// name is stable from run to run instead of carrying the raw
+/// (address-bearing) bytes of the struct.
+void PrintTo(const StoreCase &C, std::ostream *OS) { *OS << C.Dir; }
+
 class StoreRecoveryTest : public ::testing::TestWithParam<StoreCase> {};
 
 TEST_P(StoreRecoveryTest, QuarantinesDamageKeepsSurvivors) {

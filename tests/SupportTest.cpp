@@ -150,6 +150,54 @@ TEST(Json, NumbersRoundTripExactly) {
   EXPECT_EQ(formatJsonNumber(1739557.0), "1739557");
 }
 
+TEST(Json, NumberFormatEdgeCases) {
+  EXPECT_EQ(formatJsonNumber(-0.0), "-0");
+  EXPECT_EQ(formatJsonNumber(0.0), "0");
+  EXPECT_EQ(formatJsonNumber(-42.0), "-42");
+  // 2^53 - 1 is the largest integer on the exact path; from 2^53 on the
+  // round-trip search prints the shortest %g form (here 16 digits, which
+  // %g still writes without an exponent).
+  EXPECT_EQ(formatJsonNumber(9007199254740991.0), "9007199254740991");
+  EXPECT_EQ(formatJsonNumber(9007199254740992.0), "9007199254740992");
+  EXPECT_EQ(formatJsonNumber(9007199254740994.0), "9007199254740994");
+  EXPECT_EQ(formatJsonNumber(1152921504606846976.0), "1.152921504606847e+18");
+  EXPECT_EQ(formatJsonNumber(0.1), "0.1");
+  EXPECT_EQ(formatJsonNumber(1.0 / 3.0), "0.3333333333333333");
+}
+
+TEST(JsonWriter, LayoutWithStartingIndentAndEmptyContainers) {
+  std::string Out;
+  JsonWriter W(Out, 1);
+  W.beginObject();
+  W.key("a");
+  W.beginArray();
+  W.endArray();
+  W.key("b");
+  W.beginObject();
+  W.endObject();
+  W.key("c");
+  W.beginArray();
+  W.number(1);
+  W.string("x\t\x01");
+  W.boolean(false);
+  W.null();
+  W.endArray();
+  W.endObject();
+  EXPECT_EQ(Out, "{\n"
+                 "    \"a\": [],\n"
+                 "    \"b\": {},\n"
+                 "    \"c\": [\n"
+                 "      1,\n"
+                 "      \"x\\t\\u0001\",\n"
+                 "      false,\n"
+                 "      null\n"
+                 "    ]\n"
+                 "  }");
+  JsonValue Doc;
+  ASSERT_TRUE(JsonValue::parse(Out, Doc));
+  EXPECT_EQ(Doc.serialize(1), Out);
+}
+
 TEST(Json, ObjectPreservesInsertionOrder) {
   JsonValue Obj = JsonValue::makeObject();
   Obj.set("zeta", JsonValue(1));

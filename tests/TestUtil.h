@@ -14,12 +14,14 @@
 #define KREMLIN_TESTS_TESTUTIL_H
 
 #include "compress/Dictionary.h"
+#include "driver/KremlinDriver.h"
 #include "instrument/Instrumenter.h"
 #include "interp/Interpreter.h"
 #include "ir/Verifier.h"
 #include "parser/Lower.h"
 #include "profile/ParallelismProfile.h"
 #include "rt/KremlinRuntime.h"
+#include "suite/PaperSuite.h"
 
 #include "gtest/gtest.h"
 
@@ -65,6 +67,16 @@ inline ProfiledRun profileSource(const std::string &Source,
   EXPECT_TRUE(Run.Exec.Ok) << Run.Exec.Error;
   Run.Profile = std::make_unique<ParallelismProfile>(*Run.M, *Run.Dict);
   return Run;
+}
+
+/// Profiles one of the paper's benchmark programs through the full driver
+/// pipeline; fails the current test on any pipeline error.
+inline DriverResult profilePaperProgram(const std::string &Name) {
+  DriverResult R = KremlinDriver().runOnSource(
+      generatePaperBenchmark(Name).Source, Name + ".c");
+  EXPECT_TRUE(R.succeeded())
+      << Name << ": " << (R.Errors.empty() ? "" : R.Errors.front());
+  return R;
 }
 
 /// Runs a program without instrumentation and returns main's value.

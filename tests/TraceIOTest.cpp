@@ -104,6 +104,72 @@ TEST(TraceIO, AcceptsMinimalValidTrace) {
   EXPECT_EQ(R->computeMultiplicities()[0], 1u);
 }
 
+TEST(TraceIO, RejectsNumbersThatAreNotUnsignedDecimal) {
+  // Each field is a whole token of decimal digits that fits its type:
+  // istream extraction used to accept a sign, wrap `-1`, and stop at the
+  // first non-digit.
+  for (const char *Bad : {"+5", "-1", "18446744073709551616", "10x"}) {
+    std::string Text = std::string("kremlin-trace 2\nregions 1\n"
+                                   "entry 0 ") +
+                       Bad + " 5 0\nroot 0 1\ndynregions 1\n";
+    Expected<DictionaryCompressor> R = readTrace(Text);
+    ASSERT_FALSE(R.ok()) << Bad;
+    EXPECT_EQ(R.status().code(), ErrorCode::DecodeError) << Bad;
+    EXPECT_NE(R.status().message().find("malformed entry 0"),
+              std::string::npos)
+        << R.status().toString();
+  }
+  // A region id beyond 32 bits overflows its field too.
+  EXPECT_FALSE(readTrace("kremlin-trace 2\nregions 1\n"
+                         "entry 4294967296 10 5 0\n")
+                   .ok());
+}
+
+TEST(TraceIO, LargeRootCountDecodesInBoundedTime) {
+  // One root line stands for 10^12 program runs: decoding must add the
+  // count at once, not once per run.
+  Expected<DictionaryCompressor> R =
+      readTrace("kremlin-trace 2\nregions 1\nentry 0 10 5 0\n"
+                "root 0 1000000000000\ndynregions 1\n");
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  std::vector<std::pair<SummaryChar, uint64_t>> Want = {{0, 1000000000000}};
+  EXPECT_EQ(R->roots(), Want);
+}
+
+TEST(TraceIO, RootCountOverflowIsRejected) {
+  Expected<DictionaryCompressor> R =
+      readTrace("kremlin-trace 2\nregions 1\nentry 0 10 5 0\n"
+                "root 0 18446744073709551615\nroot 0 1\ndynregions 1\n");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), ErrorCode::DecodeError);
+  EXPECT_NE(R.status().message().find("overflow"), std::string::npos)
+      << R.status().toString();
+}
+
+TEST(TraceIO, WhitespaceIncludingCarriageReturnsSeparatesTokens) {
+  TraceMeta Meta;
+  Expected<DictionaryCompressor> R =
+      readTrace("kremlin-trace 2\r\nsource  a b.c \r\nregions\t1\r\n"
+                "entry 0 10 5 0\r\nroot 0 2\r\ndynregions 1\r\n",
+                &Meta);
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  EXPECT_EQ(Meta.Source, "a b.c");
+  EXPECT_EQ(R->alphabet().size(), 1u);
+  EXPECT_EQ(R->computeMultiplicities()[0], 2u);
+}
+
+TEST(TraceIO, PaperProgramTracesRoundTripByteForByte) {
+  for (const std::string &Name : paperBenchmarkNames()) {
+    DriverResult DR = profilePaperProgram(Name);
+    ASSERT_TRUE(DR.Dict) << Name;
+    std::string Text = writeTrace(*DR.Dict, TraceMeta{Name + ".c"});
+    TraceMeta Meta;
+    Expected<DictionaryCompressor> R = readTrace(Text, &Meta);
+    ASSERT_TRUE(R.ok()) << Name << ": " << R.status().toString();
+    EXPECT_EQ(writeTrace(*R, Meta), Text) << Name;
+  }
+}
+
 // --- Schema v2: source metadata + version gate --------------------------------
 
 TEST(TraceIO, V2RoundTripsSourceMetadata) {
