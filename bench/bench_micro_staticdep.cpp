@@ -4,7 +4,9 @@
 // once per pipeline (and on every `kremlin lint`), so its cost must stay
 // linear in module size: these cases pin the reaching-definitions fixpoint,
 // the per-loop scalar dependence scan, and the whole-module analyze stage
-// on a synthetic many-loop program.
+// on a synthetic many-loop program, and BM_StaticStagesScaling runs verify,
+// instrument and analyze on one function with 1x, 4x and 16x the loops, so
+// a return to superlinear cost shows as falling loops/s.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 #include "analysis/ModRef.h"
 #include "analysis/StaticDependence.h"
 #include "instrument/Instrumenter.h"
+#include "ir/Verifier.h"
 #include "parser/Lower.h"
 #include "support/StringUtils.h"
 
@@ -27,10 +30,11 @@ namespace {
 /// A program with many loops of every verdict class: doall writes to
 /// distinct cells, serial array recurrences, reductions, and an indirect
 /// subscript the SIV tests must give up on.
-std::string manyLoopSource() {
+/// \p Rounds rounds of the four loop kinds, all in main.
+std::string manyLoopSource(unsigned Rounds = 8) {
   std::string Src = "int a[256];\nint b[256];\nint idx[64];\n";
   Src += "int main() {\n  int s = 0;\n";
-  for (unsigned K = 0; K < 8; ++K) {
+  for (unsigned K = 0; K < Rounds; ++K) {
     Src += formatString("  for (int d%u = 0; d%u < 64; d%u = d%u + 1) {"
                         " a[d%u] = d%u * 3 + %u; }\n",
                         K, K, K, K, K, K, K);
@@ -85,7 +89,7 @@ void BM_LoopCarriedScalarDeps(benchmark::State &State) {
   const Function &F = mainFunction();
   ReachingDefs RD(F);
   DomTree DT = computeDominators(F);
-  LoopInfo LI = computeLoops(F);
+  LoopInfo LI = computeLoops(F, DT);
   size_t Deps = 0;
   for (auto _ : State)
     for (const Loop &L : LI.Loops)
@@ -108,6 +112,34 @@ void BM_AnalyzeModule(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_AnalyzeModule);
+
+/// Verify + instrument + analyze on main with State.range(0) times the 32
+/// loops of the module above. The frontend runs outside the timed region;
+/// items are loops, so linear cost keeps items/s flat across the sizes.
+void BM_StaticStagesScaling(benchmark::State &State) {
+  const unsigned Rounds = 8 * static_cast<unsigned>(State.range(0));
+  const std::string Src = manyLoopSource(Rounds);
+  size_t Loops = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    LowerResult LR = compileMiniC(Src, "scaling.c");
+    if (!LR.succeeded()) {
+      State.SkipWithError("scaling source failed to compile");
+      break;
+    }
+    State.ResumeTiming();
+    if (!verifyModule(*LR.M).empty()) {
+      State.SkipWithError("scaling module failed to verify");
+      break;
+    }
+    instrumentModule(*LR.M);
+    StaticAnalysisResult R = analyzeModuleDependence(*LR.M);
+    Loops = R.Loops.size();
+    benchmark::DoNotOptimize(R.NumDoall + R.NumSerial + R.NumUnknown);
+  }
+  State.SetItemsProcessed(State.iterations() * Loops);
+}
+BENCHMARK(BM_StaticStagesScaling)->Arg(1)->Arg(4)->Arg(16);
 
 /// A call-heavy module: a pure recursive helper, array-parameter writers,
 /// global accumulators, and loops whose verdicts need callee summaries

@@ -13,12 +13,28 @@ using namespace kremlin;
 using namespace kremlin::aggregate;
 namespace tel = kremlin::telemetry;
 
+namespace {
+
+// Counts in a merged profile saturate at UINT64_MAX rather than wrap, like
+// DictionaryCompressor::addRootExits: merging cannot fail.
+uint64_t saturatingAdd(uint64_t A, uint64_t B) {
+  return A > UINT64_MAX - B ? UINT64_MAX : A + B;
+}
+
+uint64_t saturatingMul(uint64_t A, uint64_t B) {
+  uint64_t Product;
+  return __builtin_mul_overflow(A, B, &Product) ? UINT64_MAX : Product;
+}
+
+} // namespace
+
 void aggregate::mergeInto(DictionaryCompressor &Out,
                           const DictionaryCompressor &In) {
   // intern() counts one dynamic region per call, but the merged dictionary
   // must describe the *sum* of both runs' dynamic regions — capture the
   // target before interning perturbs the counter.
-  uint64_t TargetDynRegions = Out.numDynamicRegions() + In.numDynamicRegions();
+  uint64_t TargetDynRegions =
+      saturatingAdd(Out.numDynamicRegions(), In.numDynamicRegions());
   uint64_t AlphabetBefore = Out.alphabet().size();
 
   // Re-intern In's alphabet leaves-first. Children precede parents in
@@ -85,7 +101,8 @@ Module aggregate::syntheticModule(const DictionaryCompressor &Dict) {
 uint64_t aggregate::programWork(const DictionaryCompressor &Dict) {
   uint64_t Work = 0;
   for (const auto &[Root, Count] : Dict.roots())
-    Work += Dict.alphabet()[Root].Work * Count;
+    Work = saturatingAdd(Work,
+                         saturatingMul(Dict.alphabet()[Root].Work, Count));
   return Work;
 }
 

@@ -65,9 +65,9 @@ struct RegionRow {
   double CoveragePct = 0.0;
 };
 
-/// Whole-program work of \p Dict: Σ over root characters of work × count.
-/// Merge preserves this additively: programWork(merge(a,b)) ==
-/// programWork(a) + programWork(b).
+/// Whole-program work of \p Dict: Σ over root characters of work × count,
+/// saturating at UINT64_MAX. Merge preserves this additively below that
+/// bound: programWork(merge(a,b)) == programWork(a) + programWork(b).
 uint64_t programWork(const DictionaryCompressor &Dict);
 
 /// Executed regions of \p Dict as rows sorted by id. Row aggregates are

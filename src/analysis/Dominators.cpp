@@ -7,19 +7,43 @@
 
 using namespace kremlin;
 
-bool DomTree::dominates(BlockId A, BlockId B) const {
-  if (!isReachable(B))
-    return false;
-  while (true) {
-    if (A == B)
-      return true;
-    if (B == Root)
-      return false;
-    B = IDom[B];
+namespace {
+
+/// Numbers the nodes of \p DT's tree in one depth-first walk from the
+/// root, so that dominates() is a constant-time interval test.
+void numberTree(DomTree &DT) {
+  size_t N = DT.IDom.size();
+  DT.Pre.assign(N, 0);
+  DT.Post.assign(N, 0);
+  // Children of each node: Kids[First[X], First[X + 1]).
+  std::vector<uint32_t> First(N + 1, 0), Kids;
+  for (BlockId X = 0; X < N; ++X)
+    if (X != DT.Root && DT.IDom[X] != NoBlock)
+      ++First[DT.IDom[X] + 1];
+  for (size_t X = 0; X < N; ++X)
+    First[X + 1] += First[X];
+  Kids.resize(First[N]);
+  std::vector<uint32_t> Fill(First.begin(), First.end() - 1);
+  for (BlockId X = 0; X < N; ++X)
+    if (X != DT.Root && DT.IDom[X] != NoBlock)
+      Kids[Fill[DT.IDom[X]]++] = X;
+
+  uint32_t Clock = 0;
+  std::vector<std::pair<BlockId, uint32_t>> Stack = {
+      {DT.Root, First[DT.Root]}};
+  DT.Pre[DT.Root] = Clock++;
+  while (!Stack.empty()) {
+    auto &[Node, Next] = Stack.back();
+    if (Next < First[Node + 1]) {
+      BlockId Kid = Kids[Next++];
+      DT.Pre[Kid] = Clock++;
+      Stack.push_back({Kid, First[Kid]});
+      continue;
+    }
+    DT.Post[Node] = Clock++;
+    Stack.pop_back();
   }
 }
-
-namespace {
 
 /// Generic CHK iterative dominator computation over an explicit graph.
 /// \p Preds are the predecessor lists; \p Order is a reverse postorder of
@@ -65,6 +89,7 @@ DomTree computeOnGraph(size_t NumNodes, BlockId Root,
       }
     }
   }
+  numberTree(DT);
   return DT;
 }
 

@@ -17,6 +17,7 @@
 
 #include "ir/Function.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace kremlin {
@@ -31,8 +32,15 @@ public:
   std::vector<BlockId> IDom;
   BlockId Root = NoBlock;
 
-  /// True if \p A dominates \p B (reflexively).
-  bool dominates(BlockId A, BlockId B) const;
+  /// Entry and exit times of each reachable node in a depth-first walk of
+  /// the tree: A dominates B iff A's interval encloses B's.
+  std::vector<uint32_t> Pre, Post;
+
+  /// True if \p A dominates \p B (reflexively). Constant time.
+  bool dominates(BlockId A, BlockId B) const {
+    return isReachable(A) && isReachable(B) && Pre[A] <= Pre[B] &&
+           Post[B] <= Post[A];
+  }
 
   /// Immediate dominator of \p B (NoBlock for the root or unreachable).
   BlockId idom(BlockId B) const {

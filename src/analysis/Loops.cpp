@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 using namespace kremlin;
@@ -24,10 +25,9 @@ int LoopInfo::innermostLoop(BlockId B) const {
   return Best;
 }
 
-LoopInfo kremlin::computeLoops(const Function &F) {
+LoopInfo kremlin::computeLoops(const Function &F, const DomTree &DT) {
   LoopInfo LI;
   size_t N = F.Blocks.size();
-  DomTree DT = computeDominators(F);
 
   std::vector<std::vector<BlockId>> Preds(N);
   for (BlockId BB = 0; BB < N; ++BB)
@@ -65,20 +65,23 @@ LoopInfo kremlin::computeLoops(const Function &F) {
     LI.Loops.push_back(std::move(L));
   }
 
-  // Nesting: loop A is inside loop B when B contains A's header and A != B.
-  // Pick the smallest such container as the parent.
-  for (size_t I = 0; I < LI.Loops.size(); ++I) {
-    size_t BestSize = SIZE_MAX;
-    for (size_t J = 0; J < LI.Loops.size(); ++J) {
-      if (I == J)
-        continue;
-      if (!LI.Loops[J].contains(LI.Loops[I].Header))
-        continue;
-      if (LI.Loops[J].Blocks.size() < BestSize) {
-        BestSize = LI.Loops[J].Blocks.size();
-        LI.Loops[I].Parent = static_cast<int>(J);
-      }
-    }
+  // Nesting: loop A is inside loop B when B contains A's header and A != B;
+  // the parent is the smallest such container. Natural loops with distinct
+  // headers are nested or disjoint, so the containers of a header form a
+  // chain of strictly growing bodies. Painting every body with its loop,
+  // largest first, leaves each block owned by its innermost loop, and a
+  // header's owner just before its own loop paints is that loop's parent.
+  std::vector<size_t> BySize(LI.Loops.size());
+  std::iota(BySize.begin(), BySize.end(), 0);
+  std::stable_sort(BySize.begin(), BySize.end(), [&](size_t A, size_t B) {
+    return LI.Loops[A].Blocks.size() > LI.Loops[B].Blocks.size();
+  });
+  std::vector<int> Owner(N, -1);
+  for (size_t I : BySize) {
+    Loop &L = LI.Loops[I];
+    L.Parent = Owner[L.Header];
+    for (BlockId B : L.Blocks)
+      Owner[B] = static_cast<int>(I);
   }
   // Depths via parent chains.
   for (Loop &L : LI.Loops) {

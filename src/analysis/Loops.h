@@ -49,8 +49,9 @@ struct LoopInfo {
   int innermostLoop(BlockId B) const;
 };
 
-/// Detects the natural loops of \p F.
-LoopInfo computeLoops(const Function &F);
+/// Detects the natural loops of \p F. \p DT must be the dominator tree of
+/// \p F (computeDominators); callers that need it too build it once.
+LoopInfo computeLoops(const Function &F, const DomTree &DT);
 
 } // namespace kremlin
 

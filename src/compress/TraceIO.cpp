@@ -61,10 +61,27 @@ public:
 
   /// Reads the next token into \p Out; false unless it is a number.
   template <typename T> bool number(T &Out) {
+    return parse(token(), Out) == std::errc();
+  }
+
+  /// Reads the next token into \p Out. On failure sets \p Why to the
+  /// reason, naming \p Field and the token ("region id '-1' is not an
+  /// unsigned integer"), and returns false.
+  template <typename T>
+  bool field(const char *Field, T &Out, std::string &Why) {
     std::string_view Tok = token();
-    const char *End = Tok.data() + Tok.size();
-    auto [Ptr, Ec] = std::from_chars(Tok.data(), End, Out);
-    return Ec == std::errc() && Ptr == End;
+    std::errc Ec = parse(Tok, Out);
+    if (Ec == std::errc())
+      return true;
+    if (Tok.empty())
+      Why = formatString("missing %s (truncated trace?)", Field);
+    else
+      Why = formatString("%s '%.*s' ", Field, static_cast<int>(Tok.size()),
+                         Tok.data()) +
+            (Ec == std::errc::result_out_of_range
+                 ? formatString("does not fit in %zu bits", sizeof(T) * 8)
+                 : std::string("is not an unsigned integer"));
+    return false;
   }
 
   /// Bytes not yet consumed.
@@ -84,6 +101,16 @@ public:
 private:
   std::string_view Text;
   size_t Pos = 0;
+
+  /// Parses a whole token of decimal digits that fits T: errc() on
+  /// success, result_out_of_range on overflow, invalid_argument otherwise.
+  template <typename T> static std::errc parse(std::string_view Tok, T &Out) {
+    const char *End = Tok.data() + Tok.size();
+    auto [Ptr, Ec] = std::from_chars(Tok.data(), End, Out);
+    if (Ec == std::errc() && Ptr != End)
+      return std::errc::invalid_argument; // Trailing non-digits.
+    return Ec;
+  }
 
   static bool isSpace(char C) {
     return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
@@ -133,18 +160,28 @@ Expected<DictionaryCompressor> kremlin::readTrace(const std::string &Text,
   for (size_t E = 0; E < NumEntries; ++E) {
     DynRegionSummary S;
     size_t NumChildren = 0;
-    if (In.token() != "entry" || !In.number(S.Static) ||
-        !In.number(S.Work) || !In.number(S.Cp) || !In.number(NumChildren))
-      return Malformed(formatString(
-          "malformed entry %zu (truncated trace?)", E));
+    std::string Why;
+    std::string_view Kw = In.token();
+    if (Kw != "entry")
+      Why = Kw.empty() ? "no entry line (truncated trace?)"
+                       : "expected 'entry', found '" + std::string(Kw) + "'";
+    else if (In.field("region id", S.Static, Why) &&
+             In.field("work", S.Work, Why) &&
+             In.field("critical path", S.Cp, Why))
+      In.field("child count", NumChildren, Why);
+    if (!Why.empty())
+      return Malformed(formatString("malformed entry %zu: ", E) + Why);
     // Every child takes at least four bytes ("c f "), which bounds what a
     // hostile count can reserve.
     S.Children.reserve(std::min(NumChildren, In.remaining() / 4));
     for (size_t C = 0; C < NumChildren; ++C) {
       SummaryChar Child = 0;
       uint64_t Freq = 0;
-      if (!In.number(Child) || !In.number(Freq))
-        return Malformed(formatString("malformed children of entry %zu", E));
+      if (!In.field("character", Child, Why) ||
+          !In.field("frequency", Freq, Why))
+        return Malformed(
+            formatString("malformed children of entry %zu: child %zu ", E, C) +
+            Why);
       if (Child >= E)
         // Alphabet grows leaves-first: a child must precede its parent.
         return Malformed(formatString(

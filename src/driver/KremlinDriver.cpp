@@ -352,3 +352,84 @@ Plan KremlinDriver::replan(const DriverResult &Result,
     return Plan();
   return P->plan(*Result.Profile, NewOpts);
 }
+
+JsonValue kremlin::lintReportJson(const DriverResult &Result,
+                                  const std::string &SourceName) {
+  const Module &M = *Result.M;
+  const StaticAnalysisResult &S = Result.Static;
+
+  JsonValue Summary = JsonValue::makeObject();
+  Summary.set("loops", static_cast<unsigned>(S.Loops.size()));
+  Summary.set("doall", S.NumDoall);
+  Summary.set("reduction", S.NumReduction);
+  Summary.set("serial", S.NumSerial);
+  Summary.set("unknown", S.NumUnknown);
+  Summary.set("unknown_fraction", S.unknownFraction());
+  Summary.set("call_sites", S.CallSites);
+  Summary.set("calls_summarized", S.CallsSummarized);
+  Summary.set("reductions", S.ReductionsRecognized);
+
+  JsonValue Loops = JsonValue::makeArray();
+  for (const StaticLoopResult &L : S.Loops) {
+    JsonValue O = JsonValue::makeObject();
+    O.set("function", L.Func != NoFunc ? M.Functions[L.Func].Name : "?");
+    O.set("where", L.Region != NoRegion ? M.Regions[L.Region].sourceSpan()
+                   : L.Func != NoFunc   ? M.Functions[L.Func].Name
+                                        : "?");
+    O.set("verdict", loopVerdictName(L.Verdict));
+    O.set("reason", L.Reason);
+    if (L.DepSrcLine != 0 || L.DepDstLine != 0) {
+      O.set("dep_src_line", L.DepSrcLine);
+      O.set("dep_dst_line", L.DepDstLine);
+    }
+    if (!L.Callees.empty()) {
+      JsonValue Callees = JsonValue::makeArray();
+      for (const std::string &Name : L.Callees)
+        Callees.push(Name);
+      O.set("callees", std::move(Callees));
+      O.set("call_sites", L.CallSites);
+      O.set("calls_summarized", L.CallsSummarized);
+    }
+    if (L.Reductions != 0) {
+      O.set("reductions", L.Reductions);
+      O.set("reduction_ops", L.ReductionOps);
+    }
+    Loops.push(std::move(O));
+  }
+
+  JsonValue Funcs = JsonValue::makeArray();
+  for (size_t F = 0; F < S.ModRef.Summaries.size() && F < M.Functions.size();
+       ++F) {
+    const ModRefSummary &Sum = S.ModRef.Summaries[F];
+    JsonValue O = JsonValue::makeObject();
+    O.set("name", M.Functions[F].Name);
+    O.set("opaque", Sum.Opaque);
+    O.set("recursive", Sum.Recursive);
+    JsonValue Reads = JsonValue::makeArray();
+    for (GlobalId G : Sum.GlobalReads)
+      Reads.push(G < M.Globals.size() ? M.Globals[G].Name : "?");
+    O.set("global_reads", std::move(Reads));
+    JsonValue Writes = JsonValue::makeArray();
+    for (GlobalId G : Sum.GlobalWrites)
+      Writes.push(G < M.Globals.size() ? M.Globals[G].Name : "?");
+    O.set("global_writes", std::move(Writes));
+    JsonValue PReads = JsonValue::makeArray();
+    for (unsigned K = 0; K < Sum.ParamReads.size(); ++K)
+      if (Sum.ParamReads[K])
+        PReads.push(K);
+    O.set("param_reads", std::move(PReads));
+    JsonValue PWrites = JsonValue::makeArray();
+    for (unsigned K = 0; K < Sum.ParamWrites.size(); ++K)
+      if (Sum.ParamWrites[K])
+        PWrites.push(K);
+    O.set("param_writes", std::move(PWrites));
+    Funcs.push(std::move(O));
+  }
+
+  JsonValue Doc = JsonValue::makeObject();
+  Doc.set("source", SourceName);
+  Doc.set("summary", std::move(Summary));
+  Doc.set("loops", std::move(Loops));
+  Doc.set("functions", std::move(Funcs));
+  return Doc;
+}

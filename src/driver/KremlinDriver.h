@@ -27,6 +27,7 @@
 #include "planner/Personality.h"
 #include "profile/ParallelismProfile.h"
 #include "rt/KremlinRuntime.h"
+#include "support/Json.h"
 #include "support/Status.h"
 
 #include <memory>
@@ -134,6 +135,13 @@ private:
 
   DriverOptions Opts;
 };
+
+/// Machine-readable lint report (`kremlin lint --json`): per-loop verdicts
+/// and reasons, the module summary, and the per-function mod/ref summaries
+/// the verdicts used. Wall time is deliberately omitted so the output is
+/// byte-stable and can be compared against tests/golden/lint_verdicts.json.
+JsonValue lintReportJson(const DriverResult &Result,
+                         const std::string &SourceName);
 
 } // namespace kremlin
 

@@ -75,7 +75,10 @@ void printUsage() {
       "  --profile                                dump per-region profile\n"
       "  --save-trace=<path>                      write the compressed trace\n"
       "  --load-trace=<path>                      decode a compressed trace\n"
-      "                                           and print its summary\n"
+      "                                           and print its summary (no\n"
+      "                                           source; `kremlin report\n"
+      "                                           --load-trace=` plans from\n"
+      "                                           a saved trace)\n"
       "  --max-profile-mb=<n>                     size budget for profile/\n"
       "                                           trace file reads (0 =\n"
       "                                           unlimited; exceeded =>\n"
@@ -119,91 +122,6 @@ void printUsage() {
       "ingest:<p>|store_write:<p> (comma-combined,\n"
       "KREMLIN_FAULT_SEED=<n>) enables deterministic fault injection for\n"
       "testing failure paths.\n");
-}
-
-/// Machine-readable lint report: per-loop verdicts + reasons, the module
-/// summary, and the per-function mod/ref summaries the verdicts used.
-/// Wall time is deliberately omitted so the output is byte-stable and can
-/// be diffed against golden files in CI.
-JsonValue lintReportJson(const DriverResult &Result,
-                         const std::string &SourceName) {
-  const Module &M = *Result.M;
-  const StaticAnalysisResult &S = Result.Static;
-
-  JsonValue Summary = JsonValue::makeObject();
-  Summary.set("loops", static_cast<unsigned>(S.Loops.size()));
-  Summary.set("doall", S.NumDoall);
-  Summary.set("reduction", S.NumReduction);
-  Summary.set("serial", S.NumSerial);
-  Summary.set("unknown", S.NumUnknown);
-  Summary.set("unknown_fraction", S.unknownFraction());
-  Summary.set("call_sites", S.CallSites);
-  Summary.set("calls_summarized", S.CallsSummarized);
-  Summary.set("reductions", S.ReductionsRecognized);
-
-  JsonValue Loops = JsonValue::makeArray();
-  for (const StaticLoopResult &L : S.Loops) {
-    JsonValue O = JsonValue::makeObject();
-    O.set("function", L.Func != NoFunc ? M.Functions[L.Func].Name : "?");
-    O.set("where", L.Region != NoRegion ? M.Regions[L.Region].sourceSpan()
-                   : L.Func != NoFunc   ? M.Functions[L.Func].Name
-                                        : "?");
-    O.set("verdict", loopVerdictName(L.Verdict));
-    O.set("reason", L.Reason);
-    if (L.DepSrcLine != 0 || L.DepDstLine != 0) {
-      O.set("dep_src_line", L.DepSrcLine);
-      O.set("dep_dst_line", L.DepDstLine);
-    }
-    if (!L.Callees.empty()) {
-      JsonValue Callees = JsonValue::makeArray();
-      for (const std::string &Name : L.Callees)
-        Callees.push(Name);
-      O.set("callees", std::move(Callees));
-      O.set("call_sites", L.CallSites);
-      O.set("calls_summarized", L.CallsSummarized);
-    }
-    if (L.Reductions != 0) {
-      O.set("reductions", L.Reductions);
-      O.set("reduction_ops", L.ReductionOps);
-    }
-    Loops.push(std::move(O));
-  }
-
-  JsonValue Funcs = JsonValue::makeArray();
-  for (size_t F = 0; F < S.ModRef.Summaries.size() && F < M.Functions.size();
-       ++F) {
-    const ModRefSummary &Sum = S.ModRef.Summaries[F];
-    JsonValue O = JsonValue::makeObject();
-    O.set("name", M.Functions[F].Name);
-    O.set("opaque", Sum.Opaque);
-    O.set("recursive", Sum.Recursive);
-    JsonValue Reads = JsonValue::makeArray();
-    for (GlobalId G : Sum.GlobalReads)
-      Reads.push(G < M.Globals.size() ? M.Globals[G].Name : "?");
-    O.set("global_reads", std::move(Reads));
-    JsonValue Writes = JsonValue::makeArray();
-    for (GlobalId G : Sum.GlobalWrites)
-      Writes.push(G < M.Globals.size() ? M.Globals[G].Name : "?");
-    O.set("global_writes", std::move(Writes));
-    JsonValue PReads = JsonValue::makeArray();
-    for (unsigned K = 0; K < Sum.ParamReads.size(); ++K)
-      if (Sum.ParamReads[K])
-        PReads.push(K);
-    O.set("param_reads", std::move(PReads));
-    JsonValue PWrites = JsonValue::makeArray();
-    for (unsigned K = 0; K < Sum.ParamWrites.size(); ++K)
-      if (Sum.ParamWrites[K])
-        PWrites.push(K);
-    O.set("param_writes", std::move(PWrites));
-    Funcs.push(std::move(O));
-  }
-
-  JsonValue Doc = JsonValue::makeObject();
-  Doc.set("source", SourceName);
-  Doc.set("summary", std::move(Summary));
-  Doc.set("loops", std::move(Loops));
-  Doc.set("functions", std::move(Funcs));
-  return Doc;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -315,9 +233,9 @@ int benchMain(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--baseline=", 0) == 0) {
       BaselinePath = Value();
     } else if (Arg.rfind("--tolerance=", 0) == 0) {
-      Tolerance = std::strtod(Value().c_str(), nullptr);
+      FlagError = parseDoubleFlag(Arg, Tolerance);
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Opts.DeadlineMs = std::strtod(Value().c_str(), nullptr);
+      FlagError = parseDoubleFlag(Arg, Opts.DeadlineMs);
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TraceOut = Value();
     } else if (Arg.rfind("--trace-ring-events=", 0) == 0) {
@@ -574,7 +492,7 @@ int main(int argc, char **argv) {
         Opts.Planner.Excluded.insert(Id);
       }
     } else if (Arg.rfind("--min-sp=", 0) == 0) {
-      Opts.Planner.MinSelfParallelism = std::strtod(Value().c_str(), nullptr);
+      FlagError = parseDoubleFlag(Arg, Opts.Planner.MinSelfParallelism);
     } else if (Arg.rfind("--rows=", 0) == 0) {
       FlagError = parseUnsignedFlag(Arg, Rows);
     } else if (Arg.rfind("--max-shadow-mb=", 0) == 0) {
@@ -671,7 +589,21 @@ int main(int argc, char **argv) {
   }
 
   // `--load-trace=<path>`: decode a compressed parallelism profile and
-  // print its summary (the aggregation entry point of §2.4).
+  // print its summary (the aggregation entry point of §2.4). It never
+  // plans, so a source next to it would be profiled from scratch with the
+  // trace ignored; planning from a saved trace is `kremlin report`'s job.
+  if (!LoadTracePath.empty() && !SourceName.empty()) {
+    tel::logError(
+        "cli",
+        Status::error(ErrorCode::InvalidArgument,
+                      "--load-trace= prints a trace's summary and takes no "
+                      "source ('" +
+                          SourceName +
+                          "' given); to plan from a saved trace, run "
+                          "`kremlin report --load-trace=<trace> <source>`")
+            .toString());
+    return 1;
+  }
   if (!LoadTracePath.empty()) {
     Expected<DictionaryCompressor> Dict =
         readTraceFile(LoadTracePath, nullptr, ReadLimits);
@@ -685,8 +617,7 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(Dict->numDynamicRegions()),
                 formatBytes(Dict->compressedBytes()).c_str(),
                 Dict->compressionRatio());
-    if (SourceName.empty())
-      return 0;
+    return 0;
   }
 
   // No input at all (a zero-byte *file* is real input: the pipeline runs

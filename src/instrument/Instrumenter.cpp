@@ -47,7 +47,7 @@ void runInductionMarkingPass(Module &M, InstrumentResult &Result) {
   for (Function &F : M.Functions) {
     if (F.Blocks.empty())
       continue;
-    LoopInfo LI = computeLoops(F);
+    LoopInfo LI = computeLoops(F, computeDominators(F));
     InductionMarkResult IMR = markInductionAndReductions(F, LI);
     Result.NumInductionUpdates += IMR.NumInductionUpdates;
     Result.NumReductionUpdates += IMR.NumReductionUpdates;

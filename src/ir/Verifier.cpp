@@ -26,7 +26,22 @@ private:
   const Module &M;
   std::vector<std::string> Problems;
 
+  /// The instruction checkInstruction() is looking at.
+  struct Location {
+    const Function *F = nullptr;
+    size_t BB = 0;
+    size_t Idx = 0;
+  } At;
+
   void problem(std::string Msg) { Problems.push_back(std::move(Msg)); }
+
+  /// Reports \p Msg at the current instruction. The location is formatted
+  /// only here, so a clean instruction costs no string work.
+  void problemAt(const std::string &Msg) {
+    problem(formatString("@%s bb%zu[%zu]", At.F->Name.c_str(), At.BB,
+                         At.Idx) +
+            Msg);
+  }
 
   void checkRegions() {
     for (const StaticRegion &R : M.Regions) {
@@ -78,9 +93,6 @@ private:
 
     for (size_t BB = 0; BB < F.Blocks.size(); ++BB) {
       const BasicBlock &Block = F.Blocks[BB];
-      auto Where = [&](size_t Idx) {
-        return formatString("@%s bb%zu[%zu]", FN.c_str(), BB, Idx);
-      };
       if (Block.Insts.empty()) {
         problem(formatString("@%s bb%zu: empty block", FN.c_str(), BB));
         continue;
@@ -89,35 +101,34 @@ private:
         problem(formatString("@%s bb%zu: missing terminator", FN.c_str(), BB));
       for (size_t Idx = 0; Idx < Block.Insts.size(); ++Idx) {
         const Instruction &I = Block.Insts[Idx];
+        At = {&F, BB, Idx};
         if (isTerminator(I.Op) && Idx + 1 != Block.Insts.size())
-          problem(Where(Idx) + ": terminator not at end of block");
-        checkInstruction(F, I, Where(Idx));
+          problemAt(": terminator not at end of block");
+        checkInstruction(F, I);
       }
     }
   }
 
-  void checkValue(const Function &F, ValueId V, const std::string &Where,
-                  const char *Role) {
+  void checkValue(const Function &F, ValueId V, const char *Role) {
     if (V != NoValue && V >= F.NumValues)
-      problem(Where + formatString(": %s register %%%u out of range (%u)",
-                                   Role, V, F.NumValues));
+      problemAt(formatString(": %s register %%%u out of range (%u)", Role, V,
+                             F.NumValues));
   }
 
-  void checkInstruction(const Function &F, const Instruction &I,
-                        const std::string &Where) {
+  void checkInstruction(const Function &F, const Instruction &I) {
     if (producesValue(I.Op))
-      checkValue(F, I.Result, Where, "result");
+      checkValue(F, I.Result, "result");
     if (isBinaryOp(I.Op)) {
       if (I.A == NoValue || I.B == NoValue)
-        problem(Where + ": binary op with missing operand");
-      checkValue(F, I.A, Where, "operand");
-      checkValue(F, I.B, Where, "operand");
+        problemAt(": binary op with missing operand");
+      checkValue(F, I.A, "operand");
+      checkValue(F, I.B, "operand");
       return;
     }
     if (isUnaryOp(I.Op)) {
       if (I.A == NoValue)
-        problem(Where + ": unary op with missing operand");
-      checkValue(F, I.A, Where, "operand");
+        problemAt(": unary op with missing operand");
+      checkValue(F, I.A, "operand");
       return;
     }
     switch (I.Op) {
@@ -126,67 +137,66 @@ private:
       break;
     case Opcode::GlobalAddr:
       if (I.Aux >= M.Globals.size())
-        problem(Where + ": bad global id");
+        problemAt(": bad global id");
       break;
     case Opcode::FrameAddr:
       if (I.Aux >= F.FrameArrays.size())
-        problem(Where + ": bad frame array id");
+        problemAt(": bad frame array id");
       break;
     case Opcode::Load:
       if (I.A == NoValue)
-        problem(Where + ": load with no address");
-      checkValue(F, I.A, Where, "address");
+        problemAt(": load with no address");
+      checkValue(F, I.A, "address");
       break;
     case Opcode::Store:
       if (I.A == NoValue || I.B == NoValue)
-        problem(Where + ": store with missing operand");
-      checkValue(F, I.A, Where, "address");
-      checkValue(F, I.B, Where, "value");
+        problemAt(": store with missing operand");
+      checkValue(F, I.A, "address");
+      checkValue(F, I.B, "value");
       break;
     case Opcode::Call: {
       if (I.Aux >= M.Functions.size()) {
-        problem(Where + ": bad callee");
+        problemAt(": bad callee");
         break;
       }
       const Function &Callee = M.Functions[I.Aux];
       if (I.CallArgs.size() != Callee.NumParams)
-        problem(Where +
-                formatString(": call to @%s with %zu args, expected %u",
-                             Callee.Name.c_str(), I.CallArgs.size(),
-                             Callee.NumParams));
+        problemAt(formatString(": call to @%s with %zu args, expected %u",
+                               Callee.Name.c_str(), I.CallArgs.size(),
+                               Callee.NumParams));
       for (ValueId Arg : I.CallArgs)
-        checkValue(F, Arg, Where, "argument");
+        checkValue(F, Arg, "argument");
       if (Callee.ReturnTy == Type::Void && I.Result != NoValue)
-        problem(Where + ": void call with a result register");
+        problemAt(": void call with a result register");
       break;
     }
     case Opcode::Ret:
       if (I.A != NoValue)
-        checkValue(F, I.A, Where, "return value");
+        checkValue(F, I.A, "return value");
       if (F.ReturnTy == Type::Void && I.A != NoValue)
-        problem(Where + ": returning a value from a void function");
+        problemAt(": returning a value from a void function");
       if (F.ReturnTy != Type::Void && I.A == NoValue)
-        problem(Where + ": missing return value");
+        problemAt(": missing return value");
       break;
     case Opcode::Br:
       if (I.Aux >= F.Blocks.size())
-        problem(Where + ": bad branch target");
+        problemAt(": bad branch target");
       break;
     case Opcode::CondBr:
       if (I.A == NoValue)
-        problem(Where + ": condbr with no condition");
-      checkValue(F, I.A, Where, "condition");
+        problemAt(": condbr with no condition");
+      checkValue(F, I.A, "condition");
       if (I.Aux >= F.Blocks.size() || I.Aux2 >= F.Blocks.size())
-        problem(Where + ": bad condbr target");
+        problemAt(": bad condbr target");
       if (I.MergeBlock != NoBlock && I.MergeBlock >= F.Blocks.size())
-        problem(Where + ": bad condbr merge block");
+        problemAt(": bad condbr merge block");
       break;
     case Opcode::RegionEnter:
     case Opcode::RegionExit:
       if (I.Aux >= M.Regions.size())
-        problem(Where + ": bad region id");
+        problemAt(": bad region id");
       else if (M.Regions[I.Aux].Func != F.Id)
-        problem(Where + ": region marker for another function's region");
+        problemAt(": region marker for another function's region");
       break;
     default:
       break;

@@ -68,7 +68,7 @@ int report::reportMain(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--top=", 0) == 0) {
       FlagError = parseUnsignedFlag(Arg, Opts.Top);
     } else if (Arg.rfind("--min-coverage=", 0) == 0) {
-      Opts.MinCoveragePct = std::strtod(Value().c_str(), nullptr);
+      FlagError = parseDoubleFlag(Arg, Opts.MinCoveragePct);
     } else if (Arg.rfind("--out=", 0) == 0) {
       OutPath = Value();
     } else if (Arg.rfind("--load-trace=", 0) == 0) {

@@ -2,6 +2,8 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -89,4 +91,21 @@ bool kremlin::parseUnsigned(std::string_view Text, uint64_t &Out,
   }
   Out = Value;
   return true;
+}
+
+Status kremlin::parseDoubleFlag(std::string_view Arg, double &Out) {
+  size_t Eq = Arg.find('=');
+  std::string_view Text =
+      Eq == std::string_view::npos ? std::string_view() : Arg.substr(Eq + 1);
+  double Value = 0.0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Text.empty() || Ec != std::errc() || Ptr != End ||
+      !std::isfinite(Value) || Value < 0.0)
+    return Status::error(ErrorCode::InvalidArgument,
+                         "invalid value '" + std::string(Text) + "' for " +
+                             std::string(Arg.substr(0, Eq)) +
+                             ": expected a non-negative number");
+  Out = Value;
+  return Status::success();
 }

@@ -73,6 +73,14 @@ Status parseUnsignedFlag(std::string_view Arg, T &Out, uint64_t Scale = 1) {
   return Status::success();
 }
 
+/// Reads the value of a `--name=<x>` flag into \p Out as a non-negative
+/// finite decimal number ("2", "0.5", "1e9"). Strict where strtod is
+/// lenient: empty text, whitespace, a sign other than a leading '-' on
+/// zero, trailing characters, nan, inf, negative values and values beyond
+/// the double range are an invalid-argument Status naming the flag; \p Out
+/// is then untouched.
+Status parseDoubleFlag(std::string_view Arg, double &Out);
+
 } // namespace kremlin
 
 #endif // KREMLIN_SUPPORT_STRINGUTILS_H

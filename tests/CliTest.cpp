@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace {
@@ -602,6 +603,32 @@ TEST(Cli, MaxProfileMbBudgetFailsOversizedLoads) {
                                 " --max-profile-mb=64 --format=tree",
                             Code);
   EXPECT_EQ(Code, 0) << Out;
+  std::remove(TracePath.c_str());
+}
+
+TEST(Cli, LoadTraceWithSourceIsRejected) {
+  // --load-trace= only prints a trace's summary; a source next to it would
+  // be profiled from scratch with the trace ignored. That is refused and
+  // points at `kremlin report`, which plans from a saved trace.
+  std::string TracePath = scratchPath("cli_load_with_source.prof");
+  int Code = 0;
+  runTool("--bench=ep --save-trace=" + TracePath + " --rows=1", Code);
+  ASSERT_EQ(Code, 0);
+  std::string Out = runTool("--load-trace=" + TracePath + " " +
+                                KREMLIN_EXAMPLES_DIR "/minic/quickstart.c",
+                            Code);
+  EXPECT_EQ(WEXITSTATUS(Code), 1) << Out;
+  EXPECT_NE(Out.find("[invalid-argument]"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("kremlin report --load-trace="), std::string::npos)
+      << Out;
+  EXPECT_EQ(Out.find("Parallelism plan"), std::string::npos) << Out;
+  Out = runTool("--bench=is --load-trace=" + TracePath, Code);
+  EXPECT_EQ(WEXITSTATUS(Code), 1) << Out;
+
+  // Alone, it still prints the summary and exits 0.
+  Out = runTool("--load-trace=" + TracePath, Code);
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("alphabet entries"), std::string::npos) << Out;
   std::remove(TracePath.c_str());
 }
 

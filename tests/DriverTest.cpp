@@ -3,6 +3,13 @@
 #include "TestUtil.h"
 
 #include "driver/KremlinDriver.h"
+#include "support/Json.h"
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -136,6 +143,57 @@ TEST(Driver, InstrumentStatsReported) {
   EXPECT_EQ(R.Instrument.NumReductionUpdates, 1u);
   EXPECT_EQ(R.Instrument.NumCondBranches, 1u);
   EXPECT_TRUE(R.Instrument.Warnings.empty());
+}
+
+std::string readWholeFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+// The lint golden: the full `kremlin lint --json` report of every
+// examples/minic/*.c file must match tests/golden/lint_verdicts.json
+// exactly, and the golden may name no file the corpus lacks. Drift means a
+// regression or an intended analyzer change (then regenerate the golden
+// from the repository root: `kremlin lint examples/minic/<f>.c --json=-`).
+TEST(LintGolden, ExamplesCorpusMatchesGoldenReports) {
+  JsonValue Golden;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(
+      readWholeFile(KREMLIN_GOLDEN_DIR "/lint_verdicts.json"), Golden, &Error))
+      << Error;
+  ASSERT_TRUE(Golden.isObject());
+
+  std::vector<std::string> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(KREMLIN_EXAMPLES_DIR "/minic"))
+    if (Entry.path().extension() == ".c")
+      Files.push_back(Entry.path().filename().string());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+
+  std::set<std::string> Seen;
+  for (const std::string &File : Files) {
+    Seen.insert(File);
+    const JsonValue *Want = Golden.get(File);
+    if (!Want) {
+      ADD_FAILURE() << File << ": not in the golden (add it)";
+      continue;
+    }
+    // The golden pins repository-relative source names.
+    std::string Name = "examples/minic/" + File;
+    KremlinDriver Driver;
+    DriverResult R = Driver.lintSource(
+        readWholeFile(std::string(KREMLIN_EXAMPLES_DIR "/minic/") + File),
+        Name);
+    ASSERT_TRUE(R.succeeded()) << File;
+    EXPECT_EQ(lintReportJson(R, Name).serialize(), Want->serialize())
+        << File << ": lint --json drifted from the golden";
+  }
+  for (const auto &[File, Want] : Golden.members())
+    EXPECT_TRUE(Seen.count(File)) << File << ": in the golden but not in "
+                                  << "examples/minic";
 }
 
 } // namespace

@@ -292,6 +292,24 @@ TEST(Merge, LargeRootCountsMergeInBoundedTime) {
   EXPECT_EQ(M.numDynamicRegions(), 2u);
 }
 
+TEST(Merge, DynamicRegionCountSaturates) {
+  // Counts saturate at UINT64_MAX instead of wrapping, as root counts do.
+  Expected<DictionaryCompressor> D =
+      readTrace("kremlin-trace 2\nregions 1\nentry 0 10 5 0\nroot 0 1\n"
+                "dynregions 18446744073709551615\n");
+  ASSERT_TRUE(D.ok()) << D.status().toString();
+  DictionaryCompressor M = mergeProfiles({&*D, &*D});
+  EXPECT_EQ(M.numDynamicRegions(), UINT64_MAX);
+
+  // 10^10 work x 10^10 exits overflows 64 bits: programWork saturates.
+  Expected<DictionaryCompressor> Big =
+      readTrace("kremlin-trace 2\nregions 1\nentry 0 10000000000 5 0\n"
+                "root 0 10000000000\ndynregions 1\n");
+  ASSERT_TRUE(Big.ok()) << Big.status().toString();
+  EXPECT_EQ(programWork(*Big), UINT64_MAX);
+  EXPECT_EQ(programWork(mergeProfiles({&*Big, &*D})), UINT64_MAX);
+}
+
 TEST(Merge, DiffRendersDeltasAndOneSidedRegions) {
   DictionaryCompressor A = randomProfile(11);
   DictionaryCompressor B = mergeProfiles({&A, &A});

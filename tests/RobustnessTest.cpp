@@ -123,6 +123,8 @@ struct BadFlagCase {
   const char *Name;
   const char *Args;
   const char *Flag;
+  /// What the error says the flag takes.
+  const char *Expected = "an unsigned integer";
 };
 
 const BadFlagCase BadFlags[] = {
@@ -152,6 +154,23 @@ const BadFlagCase BadFlags[] = {
      "--max-profile-mb"},
     {"DiffProfileMb", "diff a.prof b.prof --max-profile-mb=",
      "--max-profile-mb"},
+    // Floating-point flags: strtod read these as 0 (or as nan/inf).
+    {"MinSpLetters", "--tracking --min-sp=abc", "--min-sp",
+     "a non-negative number"},
+    {"MinSpEmpty", "--tracking --min-sp=", "--min-sp",
+     "a non-negative number"},
+    {"MinSpTrailingJunk", "--tracking --min-sp=5x", "--min-sp",
+     "a non-negative number"},
+    {"MinSpNan", "--tracking --min-sp=nan", "--min-sp",
+     "a non-negative number"},
+    {"MinSpNegative", "--tracking --min-sp=-2", "--min-sp",
+     "a non-negative number"},
+    {"BenchToleranceInf", "bench --tolerance=inf", "--tolerance",
+     "a non-negative number"},
+    {"BenchDeadlineOverflow", "bench --deadline-ms=1e999", "--deadline-ms",
+     "a non-negative number"},
+    {"ReportMinCoverageSpace", "report --bench=is \"--min-coverage= 5\"",
+     "--min-coverage", "a non-negative number"},
 };
 
 /// Names the case by its command line in test listings.
@@ -166,8 +185,8 @@ TEST_P(BadFlagTest, FailsNamingTheFlag) {
       << C.Args << " killed the tool with a signal:\n" << R.Output;
   EXPECT_NE(R.ExitCode, 0) << C.Args << " was accepted:\n" << R.Output;
   EXPECT_NE(R.Output.find("kremlin[error]"), std::string::npos) << R.Output;
-  EXPECT_NE(R.Output.find(std::string("for ") + C.Flag +
-                          ": expected an unsigned integer"),
+  EXPECT_NE(R.Output.find(std::string("for ") + C.Flag + ": expected " +
+                          C.Expected),
             std::string::npos)
       << R.Output;
 }

@@ -82,7 +82,7 @@ struct RedefDiamond {
 TEST(ReachingDefs, ArmDefsKillEntryDefAtJoin) {
   RedefDiamond D;
   ReachingDefs RD(D.fn());
-  const std::vector<unsigned> &DefsOfX = RD.defsOf(D.X);
+  std::span<const unsigned> DefsOfX = RD.defsOf(D.X);
   ASSERT_EQ(DefsOfX.size(), 3u);
   std::vector<unsigned> AtJoin = RD.reachingIn(D.Join);
   // Both arm redefinitions reach the join; the entry definition is killed
@@ -137,10 +137,10 @@ TEST(ScalarCarriedDeps, AccumulatorIsCarriedAndBreakable) {
       " return s; }");
   instrumentModule(*M);
   const Function &F = M->Functions[0];
-  LoopInfo LI = computeLoops(F);
+  DomTree DT = computeDominators(F);
+  LoopInfo LI = computeLoops(F, DT);
   ASSERT_EQ(LI.Loops.size(), 1u);
   ReachingDefs RD(F);
-  DomTree DT = computeDominators(F);
   std::vector<ScalarCarriedDep> Deps =
       findLoopCarriedScalarDeps(F, LI.Loops[0], RD, DT);
   ASSERT_FALSE(Deps.empty());
@@ -157,10 +157,10 @@ TEST(ScalarCarriedDeps, NonReductionRecurrenceIsCertain) {
       " return s; }");
   instrumentModule(*M);
   const Function &F = M->Functions[0];
-  LoopInfo LI = computeLoops(F);
+  DomTree DT = computeDominators(F);
+  LoopInfo LI = computeLoops(F, DT);
   ASSERT_EQ(LI.Loops.size(), 1u);
   ReachingDefs RD(F);
-  DomTree DT = computeDominators(F);
   std::vector<ScalarCarriedDep> Deps =
       findLoopCarriedScalarDeps(F, LI.Loops[0], RD, DT);
   bool SawCertainUnbreakable = false;

@@ -104,6 +104,42 @@ TEST(TraceIO, AcceptsMinimalValidTrace) {
   EXPECT_EQ(R->computeMultiplicities()[0], 1u);
 }
 
+TEST(TraceIO, MalformedEntryNamesTheFieldAndToken) {
+  // A bad entry names the field and the offending token, so a sign or a
+  // typo does not read as truncation; only a missing line does.
+  auto Message = [](const std::string &Entry) {
+    Expected<DictionaryCompressor> R =
+        readTrace("kremlin-trace 2\nregions 2\nentry 0 10 5 0\n" + Entry +
+                  "\nroot 0 1\ndynregions 2\n");
+    EXPECT_FALSE(R.ok()) << Entry;
+    return R.ok() ? std::string() : R.status().message();
+  };
+  EXPECT_EQ(Message("entry -1 10 5 0"),
+            "malformed entry 1: region id '-1' is not an unsigned integer");
+  EXPECT_EQ(Message("entry 0 10x 5 0"),
+            "malformed entry 1: work '10x' is not an unsigned integer");
+  EXPECT_EQ(Message("entry 0 10 +5 0"),
+            "malformed entry 1: critical path '+5' is not an unsigned "
+            "integer");
+  EXPECT_EQ(Message("entry 4294967296 10 5 0"),
+            "malformed entry 1: region id '4294967296' does not fit in 32 "
+            "bits");
+  EXPECT_EQ(Message("entri 0 10 5 0"),
+            "malformed entry 1: expected 'entry', found 'entri'");
+  EXPECT_EQ(Message("entry 0 10 5 1 0 z"),
+            "malformed children of entry 1: child 0 frequency 'z' is not an "
+            "unsigned integer");
+  Expected<DictionaryCompressor> Cut =
+      readTrace("kremlin-trace 2\nregions 2\nentry 0 10 5 0\n");
+  ASSERT_FALSE(Cut.ok());
+  EXPECT_EQ(Cut.status().message(),
+            "malformed entry 1: no entry line (truncated trace?)");
+  Cut = readTrace("kremlin-trace 2\nregions 1\nentry 0 10");
+  ASSERT_FALSE(Cut.ok());
+  EXPECT_EQ(Cut.status().message(),
+            "malformed entry 0: missing critical path (truncated trace?)");
+}
+
 TEST(TraceIO, RejectsNumbersThatAreNotUnsignedDecimal) {
   // Each field is a whole token of decimal digits that fits its type:
   // istream extraction used to accept a sign, wrap `-1`, and stop at the
