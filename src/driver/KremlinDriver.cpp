@@ -92,18 +92,24 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
   SegFreed.add(Mem.releasedSegments());
   ShadowReads.add(Mem.timestampReads());
   ShadowWrites.add(Mem.timestampWrites());
+  // Pages handed out, next to the part of them any write could reach.
   Reg.gauge("shadow.bytes").set(static_cast<double>(Mem.allocatedBytes()));
+  Reg.gauge("shadow.levels_touched")
+      .set(static_cast<double>(Mem.levelsTouched()));
+  Reg.gauge("shadow.touched_bytes")
+      .set(static_cast<double>(Mem.touchedBytes()));
 
   DictInterns.add(Dict.numDynamicRegions());
   DictHits.add(Dict.hits());
   Reg.gauge("dict.entries").set(static_cast<double>(Dict.alphabet().size()));
   Reg.gauge("dict.compression_ratio").set(Dict.compressionRatio());
 
-  // Guardrail visibility: the configured budget (0 = unlimited) next to the
-  // usage gauges above, and a counter of executions a guardrail stopped.
+  // Guardrail visibility: each configured limit (0 = unlimited) next to
+  // the usage it caps, and a counter of executions a guardrail stopped.
   Reg.gauge("shadow.byte_budget")
       .set(static_cast<double>(Mem.byteBudget()));
-  Reg.gauge("rt.max_region_depth")
+  Reg.gauge("rt.max_region_depth").set(static_cast<double>(Stats.MaxDepth));
+  Reg.gauge("rt.region_depth_limit")
       .set(static_cast<double>(RT.config().MaxRegionDepth));
   if (RT.failed())
     Reg.counter("rt.guardrail_trips").add();

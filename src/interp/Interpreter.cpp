@@ -6,6 +6,7 @@
 #include "rt/ProfEvent.h"
 #include "support/ErrorHandling.h"
 #include "support/StringUtils.h"
+#include "support/ZeroedMemory.h"
 
 #include <algorithm>
 #include <bit>
@@ -35,7 +36,7 @@ public:
          const std::vector<uint64_t> &GlobalBase, uint64_t GlobalWords,
          KremlinRuntime *RT)
       : M(M), Cfg(Cfg), GlobalBase(GlobalBase), RT(RT),
-        Heap(GlobalWords + Cfg.StackWords, 0), SP(GlobalWords) {}
+        Heap(GlobalWords + Cfg.StackWords), SP(GlobalWords) {}
 
   ExecResult run() {
     ExecResult Result;
@@ -81,7 +82,8 @@ private:
   const std::vector<uint64_t> &GlobalBase;
   KremlinRuntime *RT;
 
-  std::vector<uint64_t> Heap;
+  /// Globals, then the stack arena; lazily zeroed (see ZeroedMemory.h).
+  ZeroedArray<uint64_t> Heap;
   uint64_t SP; ///< Next free stack word.
   uint64_t Steps = 0;
   unsigned CallDepth = 0;
@@ -490,7 +492,7 @@ public:
              const InterpConfig &Cfg, uint64_t GlobalWords,
              KremlinRuntime *RT)
       : M(M), ModTape(ModTape), Cfg(Cfg), RT(RT),
-        Heap(GlobalWords + Cfg.StackWords, 0), SP(GlobalWords),
+        Heap(GlobalWords + Cfg.StackWords), SP(GlobalWords),
         EvBuf(ProfEventBatchSize) {}
 
   ExecResult run() {
@@ -543,7 +545,8 @@ private:
   const InterpConfig &Cfg;
   KremlinRuntime *RT;
 
-  std::vector<uint64_t> Heap;
+  /// Globals, then the stack arena; lazily zeroed (see ZeroedMemory.h).
+  ZeroedArray<uint64_t> Heap;
   uint64_t SP; ///< Next free stack word.
   uint64_t Steps = 0;
   unsigned CallDepth = 0;
@@ -713,7 +716,7 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
     --CallDepth;
     return 0;
   }
-  std::fill(Heap.begin() + FrameBase, Heap.begin() + SP, 0);
+  std::fill(Heap.data() + FrameBase, Heap.data() + SP, 0);
 
   uint64_t *const Mem = Heap.data();
   const uint64_t HeapSize = Heap.size();

@@ -13,7 +13,9 @@
 /// gprof-instrumented code").
 ///
 /// Memory model: one flat word-addressed heap; globals live at the bottom,
-/// frame arrays are bump-allocated from a stack arena above them. All
+/// frame arrays are bump-allocated from a stack arena above them. The heap
+/// is lazily zeroed (support/ZeroedMemory.h): a run pays only for the
+/// pages it writes, not for the whole reserved arena. All
 /// arithmetic is trap-free (x/0 == x%0 == 0), so eager &&/|| evaluation is
 /// safe.
 ///

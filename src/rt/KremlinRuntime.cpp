@@ -51,6 +51,8 @@ void KremlinRuntime::enterRegion(RegionId R) {
   A.Instance = Instance;
   Regions.push_back(std::move(A));
   ++Stats.DynRegionEntries;
+  if (Level + 1 > Stats.MaxDepth)
+    Stats.MaxDepth = Level + 1;
   TopWork = &Regions.back().Work;
   SlotsActive = activeSlots();
 }
@@ -304,10 +306,12 @@ void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
     return;
   const unsigned NL = Cfg.NumLevels;
   Time *FC = FrameCells;
-  // One page-table lookup shadows the word for every level; the per-slot
-  // tally matches the per-slot read() calls of the pre-paging runtime.
+  // One page-table lookup shadows the word for every level (level Slot's
+  // cell is Slot * Stride cells on); the per-slot tally matches the
+  // per-slot read() calls of the pre-paging runtime.
   Memory.noteReads(Slots);
   const ShadowCell *MC = Memory.wordCells(Addr);
+  const uint64_t Stride = Memory.levelStride();
   const Time *Cd = CdNow;
   uint64_t *RW = FrameRowW;
   const uint64_t WAddr = RW[AddrReg];
@@ -321,8 +325,8 @@ void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
     Time T = Cd[Slot];
     Time Ta = Id <= WAddr ? TAddr[Slot] : 0;
     T = Ta > T ? Ta : T;
-    if (MC && MC[Slot].Tag == Id && MC[Slot].T > T)
-      T = MC[Slot].T;
+    if (MC && MC[Slot * Stride].Tag == Id && MC[Slot * Stride].T > T)
+      T = MC[Slot * Stride].T;
     T += Lat;
     TDst[Slot] = T;
     LM[Slot] = T > LM[Slot] ? T : LM[Slot];
@@ -343,6 +347,7 @@ void KremlinRuntime::onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr) {
   // Allocate the page once for all slots; nullptr (budget trip / injected
   // fault) drops the shadow writes exactly like per-slot write() did.
   ShadowCell *MC = Memory.wordCellsForWrite(Addr);
+  const uint64_t Stride = Memory.levelStride();
   const Time *Cd = CdNow;
   const uint64_t *RW = FrameRowW;
   const uint64_t WVal = RW[ValReg];
@@ -362,10 +367,8 @@ void KremlinRuntime::onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr) {
     // True (flow) dependences only: the previous time at this address is
     // deliberately ignored — anti and output dependences are false
     // dependences that an ideal parallelization removes (§4.1).
-    if (MC) {
-      MC[Slot].Tag = Id;
-      MC[Slot].T = T;
-    }
+    if (MC)
+      MC[Slot * Stride] = ShadowCell{Id, T};
     LM[Slot] = T > LM[Slot] ? T : LM[Slot];
   }
 }

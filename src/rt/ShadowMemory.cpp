@@ -5,7 +5,7 @@
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
-#include <cstring>
+#include <algorithm>
 
 using namespace kremlin;
 
@@ -65,10 +65,11 @@ ShadowCell *ShadowMemory::allocatePage(uint64_t Page) {
   if (!FreePages.empty()) {
     // Pool hit: recycle a released page. Zeroing restores the "fresh
     // memory" invariant — stale tags from a previous frame could otherwise
-    // alias a still-live region instance.
+    // alias a still-live region instance. Levels at or above the
+    // high-water mark were never written on any page, so are still zero.
     P = FreePages.back();
     FreePages.pop_back();
-    std::memset(P, 0, PageBytes);
+    std::fill_n(P, LevelsTouched * PageWords, ShadowCell{});
   } else {
     if (SlabPagesLeft == 0) {
       uint64_t SlabPages = SlabTargetBytes / PageBytes;
@@ -83,10 +84,9 @@ ShadowCell *ShadowMemory::allocatePage(uint64_t Page) {
         if (SlabPages > BudgetPages)
           SlabPages = BudgetPages;
       }
-      // make_unique value-initializes: slab pages start zeroed.
-      Slabs.push_back(
-          std::make_unique<ShadowCell[]>(SlabPages * pageCells()));
-      SlabCur = Slabs.back().get();
+      // Lazily zeroed: a slab's pages are backed only once written.
+      Slabs.emplace_back(SlabPages * pageCells());
+      SlabCur = Slabs.back().data();
       SlabPagesLeft = SlabPages;
     }
     P = SlabCur;

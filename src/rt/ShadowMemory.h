@@ -17,14 +17,21 @@
 /// table (directory of lazily allocated second-level tables, which point at
 /// fixed-size cell pages) with all sizes powers of two so every lookup is
 /// shift+mask, and a slab/pool allocator underneath — pages are carved out
-/// of slabs and recycled through a free list on releaseRange(). Recycled
-/// pages are zeroed before reuse: tag 0 never matches a live region
-/// instance, so a zero page is indistinguishable from fresh memory.
+/// of slabs and recycled through a free list on releaseRange().
+///
+/// Pages are level-major: the cell for (word w, level l) of a page sits at
+/// Page[l * PageWords + w], so each level is one contiguous PageWords-cell
+/// run. A program nested k regions deep writes only the first k runs of a
+/// page; slabs come from ZeroedArray (support/ZeroedMemory.h), so the
+/// runs of levels never used are never paged in. A recycled page is
+/// re-zeroed only over the levels any write ever reached (the levelsTouched()
+/// high-water mark): tag 0 never matches a live region instance, so a zero
+/// page is indistinguishable from fresh memory.
 ///
 /// The per-word hot path for the HCPA runtime is wordCells() /
-/// wordCellsForWrite(): one page lookup returns the whole NumLevels cell
-/// array for a word, so a load/store touches the table once instead of once
-/// per nesting level.
+/// wordCellsForWrite(): one page lookup returns the word's level-0 cell, and
+/// its cell at level l is l * levelStride() cells further on, so a
+/// load/store touches the table once instead of once per nesting level.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +40,7 @@
 
 #include "rt/Timestamp.h"
 #include "support/Status.h"
+#include "support/ZeroedMemory.h"
 
 #include <cstdint>
 #include <memory>
@@ -62,8 +70,9 @@ public:
   ShadowMemory(const ShadowMemory &) = delete;
   ShadowMemory &operator=(const ShadowMemory &) = delete;
 
-  /// Hot path: the NumLevels-cell array shadowing word \p Addr, or nullptr
-  /// when its page was never allocated (reads as time 0 everywhere).
+  /// Hot path: the level-0 cell shadowing word \p Addr (level l is at
+  /// [l * levelStride()]), or nullptr when its page was never allocated
+  /// (reads as time 0 everywhere).
   const ShadowCell *wordCells(uint64_t Addr) const {
     uint64_t Page = Addr >> PageShift;
     uint64_t Hi = Page >> DirBits;
@@ -72,7 +81,7 @@ public:
     ShadowCell *P = Dir[Hi]->Pages[Page & DirMask];
     if (!P)
       return nullptr;
-    return P + (Addr & PageMask) * NumLevels;
+    return P + (Addr & PageMask);
   }
 
   /// Hot path: like wordCells() but allocates the page on first touch.
@@ -90,7 +99,7 @@ public:
       if (!P)
         return nullptr;
     }
-    return P + (Addr & PageMask) * NumLevels;
+    return P + (Addr & PageMask);
   }
 
   /// Reads the time for \p Addr at level slot \p Slot, tag-checked against
@@ -100,7 +109,8 @@ public:
     const ShadowCell *Cells = wordCells(Addr);
     if (!Cells)
       return 0;
-    return Cells[Slot].Tag == Tag ? Cells[Slot].T : 0;
+    const ShadowCell &C = Cells[Slot * levelStride()];
+    return C.Tag == Tag ? C.T : 0;
   }
 
   /// Writes time \p T for \p Addr at level slot \p Slot with tag \p Tag,
@@ -109,17 +119,25 @@ public:
   /// coarse boundary rather than per write).
   void write(uint64_t Addr, unsigned Slot, uint64_t Tag, Time T) {
     ++Writes;
+    if (Slot >= LevelsTouched)
+      LevelsTouched = Slot + 1;
     ShadowCell *Cells = wordCellsForWrite(Addr);
     if (!Cells)
       return;
-    Cells[Slot].Tag = Tag;
-    Cells[Slot].T = T;
+    ShadowCell &C = Cells[Slot * levelStride()];
+    C.Tag = Tag;
+    C.T = T;
   }
 
   /// Batch-counting entry points for the runtime, which tallies one logical
   /// timestamp read/write per active level but touches the page table once.
+  /// A write to levels [0, \p Slots) also raises the levelsTouched() mark.
   void noteReads(uint64_t N) const { Reads += N; }
-  void noteWrites(uint64_t N) { Writes += N; }
+  void noteWrites(unsigned Slots) {
+    Writes += Slots;
+    if (Slots > LevelsTouched)
+      LevelsTouched = Slots;
+  }
 
   /// Returns the pages covering [\p Addr, \p Addr + \p Words) to the free
   /// pool: the free()-driven reclamation hook of the paper. Partially
@@ -128,6 +146,8 @@ public:
 
   unsigned numLevels() const { return NumLevels; }
   uint64_t segmentWords() const { return PageWords; }
+  /// Cells between a word's consecutive levels within a page.
+  uint64_t levelStride() const { return PageWords; }
   uint64_t allocatedSegments() const { return AllocatedPages; }
 
   /// Lifetime tallies for self-telemetry (timestamp read/write volume and
@@ -141,6 +161,14 @@ public:
   /// Shadow bytes currently live (for overhead reporting and the byte
   /// budget). Counts pages handed out, not slab slack.
   uint64_t allocatedBytes() const { return AllocatedPages * pageBytes(); }
+  /// High-water mark of levels written: every write so far went to a level
+  /// below it, so only that prefix of each page was ever paged in.
+  unsigned levelsTouched() const { return LevelsTouched; }
+  /// The part of allocatedBytes() within the touched levels: the resident
+  /// upper bound of the live pages.
+  uint64_t touchedBytes() const {
+    return AllocatedPages * LevelsTouched * PageWords * sizeof(ShadowCell);
+  }
   /// Configured byte budget (0 = unlimited).
   uint64_t byteBudget() const { return ByteBudget; }
 
@@ -179,11 +207,12 @@ private:
   /// First level: page index >> DirBits, grown lazily.
   std::vector<std::unique_ptr<DirNode>> Dir;
   /// Slabs owning the page storage; pages are carved off SlabCur.
-  std::vector<std::unique_ptr<ShadowCell[]>> Slabs;
+  std::vector<ZeroedArray<ShadowCell>> Slabs;
   ShadowCell *SlabCur = nullptr;
   uint64_t SlabPagesLeft = 0;
-  /// Recycled pages, zeroed on reuse.
+  /// Recycled pages, zeroed (up to LevelsTouched) on reuse.
   std::vector<ShadowCell *> FreePages;
+  unsigned LevelsTouched = 0;
 
   uint64_t AllocatedPages = 0;
   mutable uint64_t Reads = 0; ///< read() is logically const; the tally isn't.

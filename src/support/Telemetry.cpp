@@ -372,7 +372,15 @@ FileTraceSink::open(std::string Path, const TraceSinkConfig &Cfg) {
   return Sink;
 }
 
-FileTraceSink::~FileTraceSink() { close(); }
+FileTraceSink::~FileTraceSink() {
+  // A sink dropped without close() still reports a failed final flush; an
+  // explicit close() already handed its status to the caller.
+  if (Closed)
+    return;
+  Status S = close();
+  if (!S.ok())
+    logWarn("telemetry", "trace output incomplete: " + S.toString());
+}
 
 void FileTraceSink::writeBatch(std::vector<TraceEvent> Batch) {
   if (Closed)
@@ -390,10 +398,12 @@ void FileTraceSink::flushBuffer(bool Force) {
     return;
   std::FILE *F = static_cast<std::FILE *>(File);
   size_t Written = std::fwrite(Buf.data(), 1, Buf.size(), F);
-  std::fflush(F);
+  // fwrite may only have buffered the bytes: the flush is where a full
+  // disk shows.
+  bool Flushed = std::fflush(F) == 0;
   Registry::global().counter("telemetry.trace.file_flushes").add();
   Registry::global().counter("telemetry.trace.file_bytes").add(Written);
-  if (Written != Buf.size())
+  if (Written != Buf.size() || !Flushed)
     CloseStatus = Status::error(ErrorCode::IoError, "short write")
                       .withStage("trace-sink")
                       .withInput(Path);

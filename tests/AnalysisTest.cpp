@@ -138,8 +138,9 @@ TEST(ControlDependence, FrontendMergeBlocksMatchAnalysis) {
     const Instruction &Term = F.Blocks[BB].terminator();
     if (Term.Op != Opcode::CondBr || Term.MergeBlock == NoBlock)
       continue;
-    if (CDI.MergeBlock[BB] != NoBlock)
+    if (CDI.MergeBlock[BB] != NoBlock) {
       EXPECT_EQ(Term.MergeBlock, CDI.MergeBlock[BB]) << "bb" << BB;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "driver/KremlinDriver.h"
 #include "support/Json.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -42,6 +43,29 @@ TEST(Driver, FullPipelineProducesPlan) {
   ASSERT_EQ(R.ThePlan.Items.size(), 1u);
   EXPECT_EQ(R.ThePlan.Personality, "openmp");
   EXPECT_GT(R.ThePlan.EstProgramSpeedup, 1.5);
+}
+
+TEST(Driver, ExecutionGaugesReportObservedUsage) {
+  // rt.max_region_depth is the deepest nesting the run reached, next to the
+  // configured cap; shadow.touched_bytes is the share of shadow.bytes
+  // within the levels any write reached.
+  KremlinDriver Driver;
+  Driver.options().Runtime.MaxRegionDepth = 500;
+  DriverResult R = Driver.runOnSource(PipelineSrc, "p.c");
+  ASSERT_TRUE(R.succeeded());
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  double Depth = Reg.gauge("rt.max_region_depth").value();
+  double Levels = Reg.gauge("shadow.levels_touched").value();
+  double Bytes = Reg.gauge("shadow.bytes").value();
+  EXPECT_EQ(Reg.gauge("rt.region_depth_limit").value(), 500.0);
+  EXPECT_GE(Depth, 2.0);
+  EXPECT_LT(Depth, 500.0);
+  EXPECT_GE(Levels, 1.0);
+  EXPECT_LE(Levels, Depth);
+  EXPECT_GT(Bytes, 0.0);
+  unsigned NumLevels = Driver.options().Runtime.NumLevels;
+  EXPECT_EQ(Reg.gauge("shadow.touched_bytes").value(),
+            Bytes / NumLevels * Levels);
 }
 
 TEST(Driver, ParseErrorsPropagate) {

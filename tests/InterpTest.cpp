@@ -4,6 +4,18 @@
 
 #include "interp/Tape.h"
 
+#include <sys/resource.h>
+
+// Address sanitizer builds (KREMLIN_SANITIZE) back memory with shadow of
+// their own, which peak-RSS assertions cannot see through.
+#if defined(__SANITIZE_ADDRESS__)
+#define KREMLIN_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define KREMLIN_TEST_ASAN 1
+#endif
+#endif
+
 using namespace kremlin;
 using namespace kremlin::test;
 
@@ -179,6 +191,93 @@ TEST(Interp, StepBudget) {
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("budget"), std::string::npos);
 }
+
+// --- The heap, on both engines ----------------------------------------------
+
+/// Runs every heap test on the tape engine and on the reference engine.
+class InterpHeap : public ::testing::TestWithParam<bool> {
+protected:
+  ExecResult run(const std::string &Src, uint64_t StackWords) {
+    Mod = compileOrDie(Src);
+    uint64_t Globals = 0;
+    for (const GlobalArray &G : Mod->Globals)
+      Globals += G.SizeWords;
+    EXPECT_EQ(Globals, 8u) << "the sources below index past g[8]";
+    InterpConfig Cfg;
+    Cfg.UseTape = GetParam();
+    Cfg.StackWords = StackWords;
+    return Interpreter(*Mod, Cfg).run();
+  }
+  std::unique_ptr<Module> Mod;
+};
+
+TEST_P(InterpHeap, UnwrittenWordsReadZero) {
+  // g[3] is a global never written; g[600] is a stack word above every
+  // frame; loc[1] is frame storage. All read 0.
+  ExecResult R = run(R"(
+    int g[8];
+    int main() {
+      int loc[4];
+      int i = 600;
+      g[2] = 5;
+      return g[2] * 1000 + g[3] * 100 + g[i] * 10 + loc[1];
+    }
+  )", 1024);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, 5000);
+}
+
+TEST_P(InterpHeap, LastHeapWordIsTheBound) {
+  // Heap = 8 global words + 1024 stack words: word 1031 is the last.
+  ExecResult R = run(R"(
+    int g[8];
+    int main() { int i = 1031; g[i] = 7; return g[i] + g[i - 1]; }
+  )", 1024);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, 7);
+  for (const char *Src :
+       {"int g[8];\nint main() { int i = 1032; return g[i]; }",
+        "int g[8];\nint main() { int i = 1032; g[i] = 1; return 0; }"}) {
+    R = run(Src, 1024);
+    EXPECT_FALSE(R.Ok) << Src;
+    EXPECT_NE(R.Error.find("out of bounds"), std::string::npos) << R.Error;
+  }
+}
+
+TEST_P(InterpHeap, ReservedStackCostsNoMemory) {
+#ifdef KREMLIN_TEST_ASAN
+  GTEST_SKIP() << "peak RSS is not meaningful under AddressSanitizer";
+#endif
+  // 2^26 stack words (512 MiB) reserved; the run writes a frame array and
+  // the very last word, so only a few pages may become resident.
+  rusage Before;
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &Before), 0);
+  ExecResult R = run(R"(
+    int g[8];
+    int main() {
+      int loc[64];
+      for (int k = 0; k < 64; k = k + 1) { loc[k] = k; }
+      int last = 67108871;
+      g[last] = 3;
+      return g[last] + loc[63];
+    }
+  )", uint64_t(1) << 26);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, 66);
+  rusage After;
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &After), 0);
+#ifdef __APPLE__
+  const long Unit = 1; // ru_maxrss is in bytes.
+#else
+  const long Unit = 1024; // ru_maxrss is in KiB.
+#endif
+  EXPECT_LT((After.ru_maxrss - Before.ru_maxrss) * Unit, 64L << 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, InterpHeap, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &I) {
+                           return I.param ? "Tape" : "Switch";
+                         });
 
 TEST(Interp, OutOfBoundsLoadFails) {
   std::unique_ptr<Module> M = compileOrDie(

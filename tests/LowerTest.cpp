@@ -111,8 +111,9 @@ TEST(Lower, CondBrMergeBlocksSet) {
   )");
   for (const BasicBlock &BB : M->Functions[0].Blocks)
     for (const Instruction &I : BB.Insts)
-      if (I.Op == Opcode::CondBr)
+      if (I.Op == Opcode::CondBr) {
         EXPECT_NE(I.MergeBlock, NoBlock);
+      }
 }
 
 TEST(Lower, TypePromotionIntToFloat) {

@@ -90,7 +90,7 @@ private:
       Src += formatString("for (int z%u = 0; z%u < %u; z%u = z%u + 1) {\n",
                           Id, Id, Iters, Id, Id);
       indent(Depth + 1);
-      Src += formatString("v = v + par[z%u %% 16] %% 9;\n", Id, Id);
+      Src += formatString("v = v + par[z%u %% 16] %% 9;\n", Id);
       indent(Depth);
       Src += "}\n";
       break;
@@ -453,9 +453,10 @@ TEST_P(PipelineProperty, KnownVerdictLoopsClassifyAndMeasureConsistently) {
     // Every provable verdict must square with the measured profile
     // (min/max folds exempt: the runtime cannot break them).
     if (X.Verdict == LoopVerdict::ProvablyDoall ||
-        (X.Verdict == LoopVerdict::ProvablyReduction && !X.MinMax))
+        (X.Verdict == LoopVerdict::ProvablyReduction && !X.MinMax)) {
       EXPECT_GE(E.SelfParallelism, 0.7 * E.avgIterations())
           << X.Func << ": " << Found->Reason;
+    }
   }
 }
 

@@ -264,7 +264,37 @@ TEST(Runtime, StatsCounters) {
   EXPECT_EQ(RT.stats().Stores, 2u);
   EXPECT_EQ(RT.stats().Loads, 2u);
   EXPECT_EQ(RT.stats().DynRegionEntries, 1u);
+  EXPECT_EQ(RT.stats().MaxDepth, 1u);
   EXPECT_GT(RT.stats().DynInstructions, 4u);
+}
+
+TEST(Runtime, MaxDepthIsTheDeepestNesting) {
+  // Observed depth, not the configured cap; a later shallower stretch
+  // does not lower it.
+  std::unique_ptr<Module> M = compileOrDie(R"(
+    int a[16];
+    int main() {
+      for (int i = 0; i < 4; i = i + 1) {
+        for (int j = 0; j < 4; j = j + 1) { a[i * 4 + j] = i + j; }
+      }
+      int s = 0;
+      for (int k = 0; k < 16; k = k + 1) { s = s + a[k]; }
+      return s;
+    }
+  )");
+  ASSERT_TRUE(instrumentModule(*M).Warnings.empty());
+  auto DepthOf = [&](unsigned Cap) {
+    DictionaryCompressor Dict;
+    KremlinConfig Cfg;
+    Cfg.MaxRegionDepth = Cap;
+    KremlinRuntime RT(Cfg, Dict);
+    Interpreter I(*M);
+    EXPECT_TRUE(I.run(&RT).Ok);
+    return RT.stats().MaxDepth;
+  };
+  unsigned Depth = DepthOf(0);
+  EXPECT_GE(Depth, 3u); // main + two loop levels at least.
+  EXPECT_EQ(DepthOf(1000), Depth);
 }
 
 // --- Page pool and frame-row watermarks ----------------------------------
@@ -285,6 +315,91 @@ TEST(ShadowMemory, PoolRecyclesReleasedPagesZeroed) {
   EXPECT_EQ(Mem.read(1 << 20, 0, 1), 9u);
   EXPECT_EQ(Mem.read((1 << 20) + 1, 0, 1), 0u);
   EXPECT_EQ(Mem.read(0, 0, 1), 0u); // Released page is detached.
+}
+
+TEST(ShadowMemory, LevelMajorCellsAreIndependent) {
+  // Level-major pages: (w, l) sits next to (w + 1, l) in memory and one
+  // level stride from (w, l + 1); the last word of a level run is adjacent
+  // to the first word of the next level. Every neighbour reads 0 under the
+  // very tag that was written, so a mis-strided index would show.
+  ShadowMemory Mem(8, /*SegmentWords=*/256);
+  EXPECT_EQ(Mem.levelStride(), 256u);
+  Mem.write(100, 3, /*Tag=*/42, /*T=*/777);
+  Mem.write(255, 2, /*Tag=*/42, /*T=*/555);
+  EXPECT_EQ(Mem.read(100, 3, 42), 777u);
+  EXPECT_EQ(Mem.read(99, 3, 42), 0u);
+  EXPECT_EQ(Mem.read(101, 3, 42), 0u);
+  EXPECT_EQ(Mem.read(100, 2, 42), 0u);
+  EXPECT_EQ(Mem.read(100, 4, 42), 0u);
+  EXPECT_EQ(Mem.read(255, 2, 42), 555u);
+  EXPECT_EQ(Mem.read(0, 3, 42), 0u);   // Next cell in memory.
+  EXPECT_EQ(Mem.read(254, 2, 42), 0u);
+  EXPECT_EQ(Mem.read(255, 1, 42), 0u);
+  EXPECT_EQ(Mem.read(255, 3, 42), 0u);
+  EXPECT_EQ(Mem.read(256, 2, 42), 0u); // First word of the next page.
+  EXPECT_EQ(Mem.allocatedSegments(), 1u);
+  EXPECT_EQ(Mem.levelsTouched(), 4u);
+}
+
+TEST(ShadowMemory, RecycledPageReadsZeroAtEveryLevel) {
+  // A shallow run (levels 0-1) fills a page and releases it; the page is
+  // re-zeroed only over the two touched levels. Its reuse writes deeper
+  // levels, and must still read 0 everywhere else, at every level and
+  // under every tag that was ever written.
+  constexpr unsigned Levels = 8;
+  constexpr uint64_t Words = 256;
+  uint64_t PageBytes = Words * Levels * sizeof(ShadowCell);
+  ShadowMemory Mem(Levels, Words, /*ByteBudget=*/PageBytes);
+  for (uint64_t W = 0; W < Words; ++W) {
+    Mem.write(W, 0, /*Tag=*/1, /*T=*/W + 1);
+    Mem.write(W, 1, /*Tag=*/2, /*T=*/W + 1);
+  }
+  EXPECT_EQ(Mem.levelsTouched(), 2u);
+  EXPECT_EQ(Mem.touchedBytes(), 2 * Words * sizeof(ShadowCell));
+  Mem.releaseRange(0, Words);
+  EXPECT_EQ(Mem.allocatedSegments(), 0u);
+
+  auto ExpectOnly = [&](uint64_t Base, uint64_t Word, unsigned Level,
+                        uint64_t Tag, Time T) {
+    for (uint64_t W = 0; W < Words; ++W)
+      for (unsigned L = 0; L < Levels; ++L)
+        for (uint64_t G = 1; G <= 4; ++G) {
+          Time Want = (W == Word && L == Level && G == Tag) ? T : 0;
+          ASSERT_EQ(Mem.read(Base + W, L, G), Want)
+              << "word " << W << " level " << L << " tag " << G;
+        }
+  };
+
+  // The budget admits one page: every reuse must come from the pool. The
+  // first reuse stays shallow, so both stale levels must have been zeroed.
+  const uint64_t Far = 1 << 20;
+  Mem.write(Far + 7, 0, /*Tag=*/3, /*T=*/9);
+  ASSERT_TRUE(Mem.status().ok());
+  EXPECT_EQ(Mem.allocatedSegments(), 1u);
+  EXPECT_EQ(Mem.allocatedBytes(), PageBytes);
+  EXPECT_EQ(Mem.levelsTouched(), 2u);
+  ExpectOnly(Far, 7, 0, 3, 9);
+
+  // The next reuse writes deeper than anything before it.
+  Mem.releaseRange(Far, Words);
+  Mem.write(Far + 9, 5, /*Tag=*/4, /*T=*/10);
+  ASSERT_TRUE(Mem.status().ok());
+  EXPECT_EQ(Mem.levelsTouched(), 6u);
+  ExpectOnly(Far, 9, 5, 4, 10);
+
+  // And once more: the deep write is now inside the zeroed prefix.
+  Mem.releaseRange(Far, Words);
+  Mem.write(Words * 3 + 200, Levels - 1, /*Tag=*/4, /*T=*/11);
+  ASSERT_TRUE(Mem.status().ok());
+  EXPECT_EQ(Mem.levelsTouched(), Levels);
+  EXPECT_EQ(Mem.releasedSegments(), 3u);
+  ExpectOnly(Words * 3, 200, Levels - 1, 4, 11);
+
+  // Budget accounting counts whole pages, however few levels were touched.
+  Mem.write(Words * 9, 0, 1, 1);
+  EXPECT_EQ(Mem.status().code(), ErrorCode::ResourceExhausted);
+  EXPECT_EQ(Mem.allocatedSegments(), 1u);
+  EXPECT_EQ(Mem.touchedBytes(), Mem.allocatedBytes());
 }
 
 TEST(ShadowMemory, ByteBudgetTripsWithStatusAndDropsWrites) {

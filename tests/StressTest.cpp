@@ -158,8 +158,9 @@ TEST(Stress, MinLevelBeyondDepth) {
   )", Cfg);
   EXPECT_EQ(Run.Exec.ExitValue, 28);
   for (const RegionProfileEntry &E : Run.Profile->entries())
-    if (E.Executed)
+    if (E.Executed) {
       EXPECT_EQ(E.TotalCp, E.TotalWork);
+    }
 }
 
 TEST(Stress, ConcurrentTraceWritersStayBoundedWithoutSink) {

@@ -432,6 +432,39 @@ TEST_F(TelemetryTest, EmptyFileSinkStillWritesAValidDocument) {
   EXPECT_EQ(Doc.get("traceEvents")->size(), 0u);
 }
 
+TEST_F(TelemetryTest, FileSinkDroppedWithFailedFlushWarns) {
+  // /dev/full accepts the open and fails every write: the destructor's
+  // final flush fails, and that must be reported rather than dropped. An
+  // explicit close() already returned the failure, so no second warning.
+  tel::LogLevel Saved = tel::logLevel();
+  tel::setLogLevel(tel::LogLevel::Warn);
+  tel::Counter &Warnings = tel::Registry::global().counter("log.warnings");
+  for (bool ExplicitClose : {false, true}) {
+    Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
+        tel::FileTraceSink::open("/dev/full");
+    if (!Sink.ok()) {
+      tel::setLogLevel(Saved);
+      GTEST_SKIP() << "no /dev/full on this platform";
+    }
+    uint64_t Before = Warnings.value();
+    ::testing::internal::CaptureStderr();
+    if (ExplicitClose) {
+      EXPECT_FALSE((*Sink)->close().ok());
+    }
+    Sink->reset();
+    std::string Err = ::testing::internal::GetCapturedStderr();
+    if (ExplicitClose) {
+      EXPECT_EQ(Warnings.value(), Before);
+      EXPECT_EQ(Err, "");
+    } else {
+      EXPECT_EQ(Warnings.value(), Before + 1);
+      EXPECT_NE(Err.find("trace output incomplete"), std::string::npos)
+          << Err;
+    }
+  }
+  tel::setLogLevel(Saved);
+}
+
 TEST_F(TelemetryTest, FileSinkOpenFailsWithStructuredError) {
   Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
       tel::FileTraceSink::open("/nonexistent-dir/trace.json");
@@ -482,8 +515,9 @@ TEST_F(TelemetryTest, EmptyHistogramSnapshotReportsNaNNotSentinels) {
     // Before the fix min rendered as 0 and p50/p99 as the bucket-0 bound:
     // plausible-looking garbage. Empty must be visibly empty.
     if (Name == "test.empty_hist.min" || Name == "test.empty_hist.max" ||
-        Name == "test.empty_hist.p50" || Name == "test.empty_hist.p99")
+        Name == "test.empty_hist.p50" || Name == "test.empty_hist.p99") {
       EXPECT_TRUE(std::isnan(Value)) << Name << " = " << Value;
+    }
   }
   EXPECT_TRUE(SawCount);
 }
@@ -508,8 +542,9 @@ TEST_F(TelemetryTest, NonEmptyHistogramQuantilesStayNumeric) {
   tel::Histogram &H = tel::Registry::global().histogram("test.filled");
   H.record(5);
   for (const auto &[Name, Value] : tel::Registry::global().snapshot())
-    if (Name.rfind("test.filled.", 0) == 0)
+    if (Name.rfind("test.filled.", 0) == 0) {
       EXPECT_FALSE(std::isnan(Value)) << Name;
+    }
 }
 
 TEST_F(TelemetryTest, SnapshotQuantilesStayWithinMinAndMax) {
