@@ -2,6 +2,7 @@
 
 #include "aggregate/ProfileMerge.h"
 
+#include "support/Saturating.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "support/Telemetry.h"
@@ -13,21 +14,8 @@ using namespace kremlin;
 using namespace kremlin::aggregate;
 namespace tel = kremlin::telemetry;
 
-namespace {
-
 // Counts in a merged profile saturate at UINT64_MAX rather than wrap, like
 // DictionaryCompressor::addRootExits: merging cannot fail.
-uint64_t saturatingAdd(uint64_t A, uint64_t B) {
-  return A > UINT64_MAX - B ? UINT64_MAX : A + B;
-}
-
-uint64_t saturatingMul(uint64_t A, uint64_t B) {
-  uint64_t Product;
-  return __builtin_mul_overflow(A, B, &Product) ? UINT64_MAX : Product;
-}
-
-} // namespace
-
 void aggregate::mergeInto(DictionaryCompressor &Out,
                           const DictionaryCompressor &In) {
   // intern() counts one dynamic region per call, but the merged dictionary

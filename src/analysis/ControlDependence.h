@@ -30,14 +30,19 @@ namespace kremlin {
 
 /// Control-dependence information for one function.
 struct ControlDependenceInfo {
-  /// Deps[B] = sorted list of branch blocks that B is control dependent on.
-  std::vector<std::vector<BlockId>> Deps;
+  /// The sorted branch blocks block B is control dependent on:
+  /// Deps[DepBegin[B], DepBegin[B + 1]).
+  std::vector<uint32_t> DepBegin;
+  std::vector<BlockId> Deps;
 
   /// MergeBlock[B] = immediate post-dominator of block B (NoBlock when the
   /// virtual exit is the immediate post-dominator).
   std::vector<BlockId> MergeBlock;
 
   bool isControlDependent(BlockId B, BlockId OnBranch) const;
+
+  /// Number of blocks the result covers.
+  size_t numBlocks() const { return MergeBlock.size(); }
 };
 
 /// Computes control dependences for \p F.

@@ -45,6 +45,10 @@ ReachingDefs::ReachingDefs(const Function &F)
     : NumBlocks(F.Blocks.size()), NumValues(F.NumValues) {
   // Collect every definition site in (block, index) order.
   size_t N = NumBlocks;
+  size_t NumInsts = 0;
+  for (const BasicBlock &BB : F.Blocks)
+    NumInsts += BB.Insts.size();
+  Defs.reserve(NumInsts);
   BlockDefBegin.assign(N + 1, 0);
   for (BlockId BB = 0; BB < N; ++BB) {
     BlockDefBegin[BB] = static_cast<unsigned>(Defs.size());
@@ -197,7 +201,13 @@ DefUseChains kremlin::buildDefUseChains(const Function &F,
 std::vector<ScalarCarriedDep>
 kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
                                    const ReachingDefs &RD, const DomTree &DT) {
-  std::vector<ScalarCarriedDep> Deps;
+  return CarriedScalarDepFinder().find(F, L, RD, DT);
+}
+
+const std::vector<ScalarCarriedDep> &
+CarriedScalarDepFinder::find(const Function &F, const Loop &L,
+                             const ReachingDefs &RD, const DomTree &DT) {
+  Deps.clear();
   size_t N = F.Blocks.size();
   if (N == 0 || F.NumValues == 0)
     return Deps;
@@ -216,7 +226,7 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
   // Carried sources per value: in-loop definitions surviving to a latch
   // exit -- the bindings the back edge hands to the next iteration. Loop
   // blocks are sorted, so the sources come out in ascending def order.
-  std::vector<unsigned> CarriedDefs;
+  CarriedDefs.clear();
   for (BlockId B : L.Blocks) {
     auto [First, Last] = RD.blockDefs(B);
     for (unsigned D = First; D < Last; ++D) {
@@ -232,26 +242,38 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
   if (CarriedDefs.empty())
     return Deps;
 
-  // Carried values, numbered densely in ascending ValueId order.
-  std::vector<ValueId> CarriedValues;
+  // Carried values, numbered densely in ascending ValueId order. The keys
+  // are cleared again before returning.
+  if (KeyOfValue.size() < F.NumValues)
+    KeyOfValue.resize(F.NumValues, NoKey);
+  CarriedValues.clear();
   for (unsigned D : CarriedDefs)
     CarriedValues.push_back(RD.defs()[D].Value);
   std::sort(CarriedValues.begin(), CarriedValues.end());
   CarriedValues.erase(std::unique(CarriedValues.begin(), CarriedValues.end()),
                       CarriedValues.end());
   size_t NK = CarriedValues.size();
-  ValueIndex Key(NK);
   for (size_t K = 0; K < NK; ++K)
-    Key.set(CarriedValues[K], static_cast<uint32_t>(K));
+    KeyOfValue[CarriedValues[K]] = static_cast<uint32_t>(K);
   auto KeyOf = [&](ValueId V) -> size_t {
-    uint32_t K = Key.find(V);
-    return K == ValueIndex::NotFound ? NK : K;
+    return V < F.NumValues && KeyOfValue[V] != NoKey ? KeyOfValue[V] : NK;
   };
-  std::vector<std::vector<unsigned>> CarriedSources(NK);
+  // Counting sort by key keeps each key's sources in ascending def order.
+  SourceBegin.assign(NK + 1, 0);
   for (unsigned D : CarriedDefs)
-    CarriedSources[KeyOf(RD.defs()[D].Value)].push_back(D);
+    ++SourceBegin[KeyOf(RD.defs()[D].Value) + 1];
+  for (size_t K = 0; K < NK; ++K)
+    SourceBegin[K + 1] += SourceBegin[K];
+  SourceFill.assign(SourceBegin.begin(), SourceBegin.end() - 1);
+  SourceList.resize(CarriedDefs.size());
+  for (unsigned D : CarriedDefs)
+    SourceList[SourceFill[KeyOf(RD.defs()[D].Value)]++] = D;
+  auto SourcesOf = [&](size_t K) {
+    return std::span<const unsigned>(SourceList.data() + SourceBegin[K],
+                                     SourceList.data() + SourceBegin[K + 1]);
+  };
 
-  std::vector<std::vector<size_t>> LoopPreds(NB);
+  Edges.clear();
   for (size_t LB = 0; LB < NB; ++LB) {
     BlockId B = L.Blocks[LB];
     if (!F.Blocks[B].hasTerminator())
@@ -259,9 +281,19 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
     for (BlockId S : F.successors(B)) {
       size_t LS = S < N && S != L.Header ? LocalOf(S) : NB;
       if (LS != NB) // Back edges excluded.
-        LoopPreds[LS].push_back(LB);
+        Edges.push_back({static_cast<uint32_t>(LS),
+                         static_cast<uint32_t>(LB)});
     }
   }
+  PredBegin.assign(NB + 1, 0);
+  for (const auto &[LS, LB] : Edges)
+    ++PredBegin[LS + 1];
+  for (size_t LB = 0; LB < NB; ++LB)
+    PredBegin[LB + 1] += PredBegin[LB];
+  PredFill.assign(PredBegin.begin(), PredBegin.end() - 1);
+  PredList.resize(Edges.size());
+  for (const auto &[LS, LB] : Edges)
+    PredList[PredFill[LS]++] = LB;
 
   // Token pass: TokenIn[B] = values whose previous-iteration binding can
   // still be live at B's entry. Seeded with every carried value at the
@@ -273,8 +305,9 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
   //
   // All three sets are rows of NW words over the carried-value numbering.
   size_t NW = (NK + 63) / 64;
-  std::vector<uint64_t> TokenIn(NB * NW, 0), SameIn(NB * NW, 0),
-      Defined(NB * NW, 0);
+  TokenIn.assign(NB * NW, 0);
+  SameIn.assign(NB * NW, 0);
+  Defined.assign(NB * NW, 0);
   auto Row = [NW](std::vector<uint64_t> &Sets, size_t LB) {
     return Sets.data() + LB * NW;
   };
@@ -288,7 +321,7 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
   if (HeaderLB != NB)
     for (size_t K = 0; K < NK; ++K)
       SetBit(Row(TokenIn, HeaderLB), K);
-  std::vector<unsigned> InLoopDefs(NK, 0);
+  InLoopDefs.assign(NK, 0);
   for (size_t LB = 0; LB < NB; ++LB) {
     auto [First, Last] = RD.blockDefs(L.Blocks[LB]);
     for (unsigned D = First; D < Last; ++D) {
@@ -307,7 +340,8 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
       if (LB == HeaderLB)
         continue; // Header sets are the fixed seeds.
       uint64_t *TokB = Row(TokenIn, LB), *SameB = Row(SameIn, LB);
-      for (size_t LP : LoopPreds[LB]) {
+      for (uint32_t I = PredBegin[LB]; I < PredBegin[LB + 1]; ++I) {
+        size_t LP = PredList[I];
         // TokenOut[P] = TokenIn[P] - Defined[P]; SameOut[P] = SameIn[P] +
         // Defined[P]. Computed on the fly to avoid storing OUT sets.
         const uint64_t *TokP = Row(TokenIn, LP), *SameP = Row(SameIn, LP),
@@ -353,7 +387,8 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
 
   // Scan the loop body for uses whose previous-iteration token is alive.
   // One dependence is reported per (value, use) pair.
-  std::vector<uint64_t> TokenAlive(NW), SameAlive(NW);
+  TokenAlive.resize(NW);
+  SameAlive.resize(NW);
   for (size_t LB = 0; LB < NB; ++LB) {
     BlockId B = L.Blocks[LB];
     std::copy_n(Row(TokenIn, LB), NW, TokenAlive.begin());
@@ -365,7 +400,7 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
         size_t K = V < F.NumValues ? KeyOf(V) : NK;
         if (K == NK || !TestBit(TokenAlive.data(), K))
           continue;
-        const std::vector<unsigned> &Sources = CarriedSources[K];
+        std::span<const unsigned> Sources = SourcesOf(K);
         ScalarCarriedDep Dep;
         Dep.Value = V;
         Dep.Use = {B, Idx, V};
@@ -391,5 +426,7 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
       }
     }
   }
+  for (ValueId V : CarriedValues)
+    KeyOfValue[V] = NoKey;
   return Deps;
 }

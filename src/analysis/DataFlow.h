@@ -83,43 +83,6 @@ private:
   size_t N = 0;
 };
 
-/// An open-addressing map from registers to small indices, sized up front
-/// for at most \p MaxEntries keys. Per-loop passes key it by the loop's own
-/// registers, so building it costs the loop's size, not the function's.
-class ValueIndex {
-public:
-  static constexpr uint32_t NotFound = UINT32_MAX;
-
-  explicit ValueIndex(size_t MaxEntries) {
-    size_t Size = 8;
-    while (Size < 2 * MaxEntries)
-      Size *= 2;
-    Slots.assign(Size, {NoValue, NotFound});
-    Mask = Size - 1;
-  }
-
-  /// The index stored for \p V, or NotFound.
-  uint32_t find(ValueId V) const { return Slots[slot(V)].second; }
-
-  /// Stores \p Index for \p V (not NoValue), replacing any earlier one.
-  void set(ValueId V, uint32_t Index) {
-    std::pair<ValueId, uint32_t> &S = Slots[slot(V)];
-    S = {V, Index};
-  }
-
-private:
-  /// The slot holding \p V, or the empty slot where it would go.
-  size_t slot(ValueId V) const {
-    size_t I = ((V * 0x9E3779B97F4A7C15ull) >> 32) & Mask;
-    while (Slots[I].first != V && Slots[I].first != NoValue)
-      I = (I + 1) & Mask;
-    return I;
-  }
-
-  std::vector<std::pair<ValueId, uint32_t>> Slots; ///< NoValue = empty.
-  size_t Mask = 0;
-};
-
 /// Reaching definitions for one function: for every program point, the set
 /// of definitions that may reach it. Definitions are numbered densely; the
 /// per-block OUT sets are bitvectors over that numbering, stored as one row
@@ -209,6 +172,39 @@ struct ScalarCarriedDep {
   /// shadow-memory rule ignores (paper §4.1) and a programmer can break
   /// with privatization or a reduction clause.
   bool Breakable = false;
+};
+
+/// Finds the scalar dependences carried by loops, one loop per call. Every
+/// per-loop buffer (the value numbering, source and predecessor lists, bit
+/// rows) is kept and reused, so once the buffers have grown to the largest
+/// loop's size a loop costs no allocations beyond its results.
+class CarriedScalarDepFinder {
+public:
+  /// Dependences carried by \p L's back edges, in body order; valid until
+  /// the next call. \p RD must be \p F's reaching definitions and \p DT its
+  /// dominator tree (used for the Certain classification).
+  const std::vector<ScalarCarriedDep> &find(const Function &F, const Loop &L,
+                                            const ReachingDefs &RD,
+                                            const DomTree &DT);
+
+private:
+  static constexpr uint32_t NoKey = UINT32_MAX;
+
+  /// Dense key of each carried value of the current loop, NoKey otherwise.
+  std::vector<uint32_t> KeyOfValue;
+  std::vector<unsigned> CarriedDefs;
+  std::vector<ValueId> CarriedValues;
+  /// Carried sources of key K: SourceList[SourceBegin[K], SourceBegin[K+1]).
+  std::vector<uint32_t> SourceBegin, SourceFill;
+  std::vector<unsigned> SourceList;
+  /// In-loop edges (to, from) between local block numbers, back edges
+  /// excluded; the predecessors of local block LB are then
+  /// PredList[PredBegin[LB], PredBegin[LB + 1]).
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
+  std::vector<uint32_t> PredBegin, PredFill, PredList;
+  std::vector<uint64_t> TokenIn, SameIn, Defined, TokenAlive, SameAlive;
+  std::vector<unsigned> InLoopDefs;
+  std::vector<ScalarCarriedDep> Deps;
 };
 
 /// Detects scalar dependences carried by \p L's back edges. \p DT must be

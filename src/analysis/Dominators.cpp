@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 using namespace kremlin;
 
@@ -23,14 +24,19 @@ void numberTree(DomTree &DT) {
   for (size_t X = 0; X < N; ++X)
     First[X + 1] += First[X];
   Kids.resize(First[N]);
-  std::vector<uint32_t> Fill(First.begin(), First.end() - 1);
+  // Fill with each list's begin as its cursor, then shift the offsets back
+  // (as in CsrGraph).
   for (BlockId X = 0; X < N; ++X)
     if (X != DT.Root && DT.IDom[X] != NoBlock)
-      Kids[Fill[DT.IDom[X]]++] = X;
+      Kids[First[DT.IDom[X]]++] = X;
+  for (size_t X = N; X > 0; --X)
+    First[X] = First[X - 1];
+  First[0] = 0;
 
   uint32_t Clock = 0;
-  std::vector<std::pair<BlockId, uint32_t>> Stack = {
-      {DT.Root, First[DT.Root]}};
+  std::vector<std::pair<BlockId, uint32_t>> Stack;
+  Stack.reserve(N);
+  Stack.push_back({DT.Root, First[DT.Root]});
   DT.Pre[DT.Root] = Clock++;
   while (!Stack.empty()) {
     auto &[Node, Next] = Stack.back();
@@ -45,11 +51,51 @@ void numberTree(DomTree &DT) {
   }
 }
 
-/// Generic CHK iterative dominator computation over an explicit graph.
-/// \p Preds are the predecessor lists; \p Order is a reverse postorder of
+/// A directed graph in compressed form: the successors of X are
+/// Succ[SuccBegin[X], SuccBegin[X + 1]) and its predecessors likewise, each
+/// list in edge insertion order. Built from an edge list in two passes
+/// (count, then fill), so it costs a fixed number of allocations however
+/// many edges the CFG has.
+struct CsrGraph {
+  std::vector<uint32_t> SuccBegin, Succ, PredBegin, Pred;
+
+  std::span<const uint32_t> preds(BlockId X) const {
+    return {Pred.data() + PredBegin[X], Pred.data() + PredBegin[X + 1]};
+  }
+
+  /// \p ForEachEdge(Add) calls Add(From, To) once per edge, in the same
+  /// order on every call.
+  template <typename EdgeFn> CsrGraph(size_t NumNodes, EdgeFn &&ForEachEdge) {
+    SuccBegin.assign(NumNodes + 1, 0);
+    PredBegin.assign(NumNodes + 1, 0);
+    ForEachEdge([&](BlockId From, BlockId To) {
+      ++SuccBegin[From + 1];
+      ++PredBegin[To + 1];
+    });
+    for (size_t X = 0; X < NumNodes; ++X) {
+      SuccBegin[X + 1] += SuccBegin[X];
+      PredBegin[X + 1] += PredBegin[X];
+    }
+    Succ.resize(SuccBegin[NumNodes]);
+    Pred.resize(PredBegin[NumNodes]);
+    // Fill with each list's begin as its cursor; every cursor then stands
+    // at the next list's begin, so shifting the offsets up restores them.
+    ForEachEdge([&](BlockId From, BlockId To) {
+      Succ[SuccBegin[From]++] = To;
+      Pred[PredBegin[To]++] = From;
+    });
+    for (size_t X = NumNodes; X > 0; --X) {
+      SuccBegin[X] = SuccBegin[X - 1];
+      PredBegin[X] = PredBegin[X - 1];
+    }
+    SuccBegin[0] = PredBegin[0] = 0;
+  }
+};
+
+/// Generic CHK iterative dominator computation over an explicit graph,
+/// walking \p G's predecessor lists; \p Order is a reverse postorder of
 /// reachable nodes starting with the root.
-DomTree computeOnGraph(size_t NumNodes, BlockId Root,
-                       const std::vector<std::vector<BlockId>> &Preds,
+DomTree computeOnGraph(size_t NumNodes, BlockId Root, const CsrGraph &G,
                        const std::vector<BlockId> &Order) {
   DomTree DT;
   DT.Root = Root;
@@ -78,7 +124,7 @@ DomTree computeOnGraph(size_t NumNodes, BlockId Root,
       if (Node == Root)
         continue;
       BlockId NewIDom = NoBlock;
-      for (BlockId P : Preds[Node]) {
+      for (BlockId P : G.preds(Node)) {
         if (DT.IDom[P] == NoBlock)
           continue; // Unprocessed / unreachable predecessor.
         NewIDom = NewIDom == NoBlock ? P : Intersect(P, NewIDom);
@@ -93,25 +139,25 @@ DomTree computeOnGraph(size_t NumNodes, BlockId Root,
   return DT;
 }
 
-/// Builds a reverse postorder of the graph reachable from \p Root.
-std::vector<BlockId>
-reversePostorder(size_t NumNodes, BlockId Root,
-                 const std::vector<std::vector<BlockId>> &Succs) {
+std::vector<BlockId> reversePostorder(size_t NumNodes, BlockId Root,
+                                      const CsrGraph &G) {
   std::vector<BlockId> Postorder;
   if (NumNodes == 0 || Root >= NumNodes)
     return Postorder;
+  Postorder.reserve(NumNodes);
   std::vector<char> State(NumNodes, 0); // 0 unvisited, 1 on stack, 2 done.
-  // Iterative DFS.
-  std::vector<std::pair<BlockId, size_t>> Stack;
-  Stack.push_back({Root, 0});
+  // Iterative DFS; each frame holds its node and next successor slot.
+  std::vector<std::pair<BlockId, uint32_t>> Stack;
+  Stack.reserve(NumNodes);
+  Stack.push_back({Root, G.SuccBegin[Root]});
   State[Root] = 1;
   while (!Stack.empty()) {
     auto &[Node, NextSucc] = Stack.back();
-    if (NextSucc < Succs[Node].size()) {
-      BlockId S = Succs[Node][NextSucc++];
+    if (NextSucc < G.SuccBegin[Node + 1]) {
+      BlockId S = G.Succ[NextSucc++];
       if (State[S] == 0) {
         State[S] = 1;
-        Stack.push_back({S, 0});
+        Stack.push_back({S, G.SuccBegin[S]});
       }
       continue;
     }
@@ -129,19 +175,17 @@ DomTree kremlin::computeDominators(const Function &F) {
   size_t N = F.Blocks.size();
   if (N == 0)
     return DomTree(); // Degenerate: no blocks, empty tree.
-  std::vector<std::vector<BlockId>> Succs(N), Preds(N);
-  for (BlockId BB = 0; BB < N; ++BB) {
-    if (!F.Blocks[BB].hasTerminator())
-      continue; // Tolerate unterminated blocks (pre-verifier IR).
-    for (BlockId S : F.successors(BB)) {
-      if (S >= N)
-        continue;
-      Succs[BB].push_back(S);
-      Preds[S].push_back(BB);
+  CsrGraph G(N, [&](auto &&Add) {
+    for (BlockId BB = 0; BB < N; ++BB) {
+      if (!F.Blocks[BB].hasTerminator())
+        continue; // Tolerate unterminated blocks (pre-verifier IR).
+      for (BlockId S : F.successors(BB))
+        if (S < N)
+          Add(BB, S);
     }
-  }
-  std::vector<BlockId> Order = reversePostorder(N, /*Root=*/0, Succs);
-  return computeOnGraph(N, /*Root=*/0, Preds, Order);
+  });
+  std::vector<BlockId> Order = reversePostorder(N, /*Root=*/0, G);
+  return computeOnGraph(N, /*Root=*/0, G, Order);
 }
 
 DomTree kremlin::computePostDominators(const Function &F) {
@@ -151,24 +195,21 @@ DomTree kremlin::computePostDominators(const Function &F) {
 
   // Reversed CFG: successors of X are its CFG predecessors; Ret blocks get
   // an edge from the virtual exit.
-  std::vector<std::vector<BlockId>> RevSuccs(Total), RevPreds(Total);
-  auto AddEdge = [&](BlockId From, BlockId To) {
-    RevSuccs[From].push_back(To);
-    RevPreds[To].push_back(From);
-  };
-  for (BlockId BB = 0; BB < N; ++BB) {
-    if (!F.Blocks[BB].hasTerminator())
-      continue; // Tolerate unterminated blocks (pre-verifier IR).
-    const Instruction &Term = F.Blocks[BB].terminator();
-    if (Term.Op == Opcode::Ret)
-      AddEdge(VirtualExit, BB);
-    for (BlockId S : F.successors(BB))
-      if (S < N)
-        AddEdge(S, BB);
-  }
+  CsrGraph RevG(Total, [&](auto &&Add) {
+    for (BlockId BB = 0; BB < N; ++BB) {
+      if (!F.Blocks[BB].hasTerminator())
+        continue; // Tolerate unterminated blocks (pre-verifier IR).
+      const Instruction &Term = F.Blocks[BB].terminator();
+      if (Term.Op == Opcode::Ret)
+        Add(VirtualExit, BB);
+      for (BlockId S : F.successors(BB))
+        if (S < N)
+          Add(S, BB);
+    }
+  });
 
-  std::vector<BlockId> Order = reversePostorder(Total, VirtualExit, RevSuccs);
-  return computeOnGraph(Total, VirtualExit, RevPreds, Order);
+  std::vector<BlockId> Order = reversePostorder(Total, VirtualExit, RevG);
+  return computeOnGraph(Total, VirtualExit, RevG, Order);
 }
 
 BlockId kremlin::immediatePostDominator(const DomTree &PDT, const Function &F,

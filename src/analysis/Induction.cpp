@@ -45,6 +45,7 @@ public:
     DefList.resize(DefBegin[NumSlots]);
     std::vector<uint32_t> Fill(DefBegin.begin(), DefBegin.end() - 1);
     forEachDef(F, [&](InstRef R, ValueId V) { DefList[Fill[V]++] = R; });
+    LoopDefs.reserve(DefList.size());
     LoopStamp.assign(NumSlots, 0);
     LoopFirst.assign(NumSlots, 0);
     LoopEnd.assign(NumSlots, 0);
@@ -81,6 +82,9 @@ private:
   /// Visited marks for dependsOn(), one stamp per walk.
   std::vector<uint32_t> VisitStamp;
   uint32_t VisitEpoch = 0;
+  /// Scratch reused across walks and candidates: dependsOn()'s worklist
+  /// and findAccumulatorOp()'s sibling operands.
+  std::vector<ValueId> Work, Siblings;
   InductionMarkResult Result;
 
   template <typename Fn> static void forEachDef(const Function &F, Fn &&Visit) {
@@ -156,7 +160,7 @@ private:
       return false;
     ++VisitEpoch;
     size_t NumVisited = 1;
-    std::vector<ValueId> Work = {V};
+    Work.assign(1, V);
     markVisited(V);
     while (!Work.empty()) {
       if (NumVisited > 512)
@@ -226,11 +230,10 @@ private:
   /// (additive: +,-; multiplicative: *) looking for the instruction that
   /// reads \p V directly — `s = s + x + y` accumulates through
   /// ((s + x) + y), so the accumulator read may be several ops deep. All
-  /// sibling operands passed on the way are collected for an
+  /// sibling operands passed on the way are collected in Siblings for an
   /// independence-of-v check. Returns nullptr if no such op exists.
   Instruction *findAccumulatorOp(ValueId Cur, ValueId V, bool Additive,
-                                 unsigned Depth,
-                                 std::vector<ValueId> &Siblings) {
+                                 unsigned Depth) {
     if (Depth == 0)
       return nullptr;
     std::span<const LoopDef> CurDefs = defsInLoop(Cur);
@@ -255,13 +258,13 @@ private:
     size_t Mark = Siblings.size();
     Siblings.push_back(I.B);
     if (Instruction *Found =
-            findAccumulatorOp(I.A, V, Additive, Depth - 1, Siblings))
+            findAccumulatorOp(I.A, V, Additive, Depth - 1))
       return Found;
     Siblings.resize(Mark);
     if (isCommutative(I.Op)) {
       Siblings.push_back(I.A);
       if (Instruction *Found =
-              findAccumulatorOp(I.B, V, Additive, Depth - 1, Siblings))
+              findAccumulatorOp(I.B, V, Additive, Depth - 1))
         return Found;
       Siblings.resize(Mark);
     }
@@ -289,9 +292,9 @@ private:
       if (TDefs.size() != 1)
         continue;
       bool Additive = isAdditive(inst(TDefs[0]).Op);
-      std::vector<ValueId> Siblings;
+      Siblings.clear();
       Instruction *Acc =
-          findAccumulatorOp(T, V, Additive, /*Depth=*/8, Siblings);
+          findAccumulatorOp(T, V, Additive, /*Depth=*/8);
       if (!Acc)
         continue;
       Instruction &OpInst = *Acc;

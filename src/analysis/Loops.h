@@ -22,6 +22,7 @@
 #include "analysis/Dominators.h"
 #include "ir/Function.h"
 
+#include <span>
 #include <vector>
 
 namespace kremlin {
@@ -29,10 +30,12 @@ namespace kremlin {
 /// One natural loop.
 struct Loop {
   BlockId Header = NoBlock;
-  /// Blocks with a back edge to the header.
-  std::vector<BlockId> Latches;
-  /// All member blocks (header included), sorted.
-  std::vector<BlockId> Blocks;
+  /// Blocks with a back edge to the header, sorted. Stored in the owning
+  /// LoopInfo.
+  std::span<const BlockId> Latches;
+  /// All member blocks (header included), sorted. Stored in the owning
+  /// LoopInfo.
+  std::span<const BlockId> Blocks;
   /// Index of the innermost enclosing loop in LoopInfo::Loops, or -1.
   int Parent = -1;
   /// Nesting depth (outermost loops have depth 1).
@@ -41,12 +44,25 @@ struct Loop {
   bool contains(BlockId B) const;
 };
 
-/// All loops of a function, outermost-first within each nest.
+/// The loops of one function. Every loop's block and latch lists live in
+/// two shared arrays here, so the whole result costs a few allocations
+/// however many loops there are; it is movable but not copyable, since the
+/// loops point into it.
 struct LoopInfo {
   std::vector<Loop> Loops;
 
+  LoopInfo() = default;
+  LoopInfo(LoopInfo &&) = default;
+  LoopInfo &operator=(LoopInfo &&) = default;
+  LoopInfo(const LoopInfo &) = delete;
+  LoopInfo &operator=(const LoopInfo &) = delete;
+
   /// Index of the innermost loop containing \p B, or -1.
   int innermostLoop(BlockId B) const;
+
+private:
+  friend LoopInfo computeLoops(const Function &F, const DomTree &DT);
+  std::vector<BlockId> BlockStore, LatchStore;
 };
 
 /// Detects the natural loops of \p F. \p DT must be the dominator tree of

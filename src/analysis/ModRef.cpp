@@ -25,36 +25,40 @@ struct AddrRoot {
   uint32_t Id = 0;
 };
 
-/// Definition sites per virtual register of one function. Parameters have no
-/// defining instruction; a register with exactly one def has an unambiguous
-/// chain regardless of control flow.
-struct FuncDefs {
-  std::vector<std::vector<const Instruction *>> Defs;
+/// The defining instruction of each virtual register of one function:
+/// nullptr when it has none (parameters have no defining instruction), and
+/// &ManyDefs when it has several. A register with exactly one def has an
+/// unambiguous chain regardless of control flow.
+const Instruction ManyDefs{};
 
-  explicit FuncDefs(const Function &F) : Defs(F.NumValues) {
+struct FuncDefs {
+  std::vector<const Instruction *> Def;
+
+  explicit FuncDefs(const Function &F) : Def(F.NumValues, nullptr) {
     for (const BasicBlock &B : F.Blocks)
       for (const Instruction &I : B.Insts)
         if (producesValue(I.Op) && I.Result != NoValue &&
-            I.Result < Defs.size())
-          Defs[I.Result].push_back(&I);
+            I.Result < Def.size())
+          Def[I.Result] = Def[I.Result] ? &ManyDefs : &I;
   }
 };
 
 AddrRoot resolveRoot(const Function &F, const FuncDefs &D, ValueId V,
                      unsigned Depth = 0) {
   AddrRoot R;
-  if (Depth > MaxChainDepth || V == NoValue || V >= D.Defs.size())
+  if (Depth > MaxChainDepth || V == NoValue || V >= D.Def.size())
     return R;
-  if (D.Defs[V].empty()) {
+  const Instruction *Def = D.Def[V];
+  if (!Def) {
     if (V < F.NumParams) {
       R.K = AddrRoot::Kind::Param;
       R.Id = V;
     }
     return R;
   }
-  if (D.Defs[V].size() != 1)
+  if (Def == &ManyDefs)
     return R;
-  const Instruction &I = *D.Defs[V][0];
+  const Instruction &I = *Def;
   switch (I.Op) {
   case Opcode::GlobalAddr:
     R.K = AddrRoot::Kind::Global;

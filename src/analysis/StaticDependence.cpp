@@ -125,17 +125,85 @@ bool basesMayAlias(MemAccess::Base K1, uint32_t Id1, MemAccess::Base K2,
   return K1 == MemAccess::Base::Param || K2 == MemAccess::Base::Param;
 }
 
+/// A unit-cost dependence DAG over one loop body (see
+/// LoopAnalyzer::buildCostModel).
+struct CostModel {
+  static constexpr unsigned NoNode = UINT32_MAX;
+  /// (BB, Idx) per node id; ascending, as nodes follow the linearization.
+  std::vector<std::pair<BlockId, unsigned>> Sites;
+  /// Same-iteration def->use edges: the def nodes feeding node n are
+  /// PredList[PredBegin[n], PredBegin[n + 1]).
+  std::vector<unsigned> PredBegin, PredList;
+
+  unsigned size() const { return static_cast<unsigned>(Sites.size()); }
+  std::span<const unsigned> preds(unsigned N) const {
+    return {PredList.data() + PredBegin[N],
+            PredList.data() + PredBegin[N + 1]};
+  }
+  /// Node id of the instruction at (\p BB, \p Idx); NoNode when excluded.
+  unsigned nodeOf(BlockId BB, unsigned Idx) const {
+    auto It = std::lower_bound(Sites.begin(), Sites.end(),
+                               std::make_pair(BB, Idx));
+    return It != Sites.end() && *It == std::make_pair(BB, Idx)
+               ? static_cast<unsigned>(It - Sites.begin())
+               : NoNode;
+  }
+};
+
+/// One induction variable of the loop being analyzed: V = Init + Step * i.
+struct InductionVar {
+  ValueId V = NoValue;
+  int64_t Step = 0;
+  std::optional<int64_t> Init; ///< When the initial value is a constant.
+};
+
+/// Buffers the per-loop passes keep from loop to loop and function to
+/// function, so classifying a loop allocates only for what it reports.
+struct LoopScratch {
+  CarriedScalarDepFinder ScalarFinder;
+  /// InLoop[B] is set for the blocks of the loop being analyzed, and clear
+  /// for every block between loops.
+  std::vector<char> InLoop;
+  /// Per-register marks, valid where Stamp[V] == Epoch; Slot holds the
+  /// cost model's latest defining node.
+  std::vector<uint32_t> Stamp, Slot;
+  uint32_t Epoch = 0;
+  std::vector<InductionVar> Inductions;
+  CostModel CM;
+  std::vector<unsigned> Depth;
+  std::vector<MemAccess> Accesses;
+
+  /// Starts a new set of per-register marks over \p NumValues registers.
+  void newEpoch(size_t NumValues) {
+    if (Stamp.size() < NumValues) {
+      Stamp.resize(NumValues, 0);
+      Slot.resize(NumValues, 0);
+    }
+    ++Epoch;
+  }
+  bool marked(ValueId V) const { return V < Stamp.size() && Stamp[V] == Epoch; }
+};
+
 /// Per-loop evaluation context: affine forms for registers, address
-/// resolution, and iteration-cost estimation.
+/// resolution, and iteration-cost estimation. Marks the loop's blocks in
+/// the scratch InLoop table for its lifetime.
 class LoopAnalyzer {
 public:
   LoopAnalyzer(const Function &F, const Loop &L, const ReachingDefs &RD,
-               const DomTree &DT)
-      : F(F), L(L), RD(RD), DT(DT), InLoop(F.Blocks.size(), 0) {
+               const DomTree &DT, LoopScratch &S)
+      : F(F), L(L), RD(RD), DT(DT), S(S), InLoop(S.InLoop) {
+    if (InLoop.size() < F.Blocks.size())
+      InLoop.resize(F.Blocks.size(), 0);
     for (BlockId B : L.Blocks)
       InLoop[B] = 1;
     findInductionVars();
   }
+  ~LoopAnalyzer() {
+    for (BlockId B : L.Blocks)
+      InLoop[B] = 0;
+  }
+  LoopAnalyzer(const LoopAnalyzer &) = delete;
+  LoopAnalyzer &operator=(const LoopAnalyzer &) = delete;
 
   /// The instruction at a definition site.
   const Instruction &inst(const DefSite &D) const {
@@ -202,16 +270,13 @@ public:
   std::optional<Affine> evaluate(ValueId V, unsigned Depth = 0) const {
     if (Depth > MaxEvalDepth || V == NoValue)
       return std::nullopt;
-    auto IndIt = InductionStep.find(V);
-    if (IndIt != InductionStep.end()) {
+    if (const InductionVar *IV = inductionVar(V)) {
       // V = init_V + step * i. A compile-time-constant init folds away the
       // symbol, which lets the GCD/Banerjee tests compare subscript pairs
       // with different strides.
-      auto InitIt = InductionInit.find(V);
-      Affine A = InitIt != InductionInit.end()
-                     ? affineConst(InitIt->second)
-                     : affineSym(static_cast<uint64_t>(V) * 2 + 1);
-      A.IterCoeff = IndIt->second;
+      Affine A = IV->Init ? affineConst(*IV->Init)
+                          : affineSym(static_cast<uint64_t>(V) * 2 + 1);
+      A.IterCoeff = IV->Step;
       return A;
     }
     if (!hasInLoopDef(V)) {
@@ -308,10 +373,6 @@ public:
     }
   }
 
-  const std::map<ValueId, int64_t> &inductionVars() const {
-    return InductionStep;
-  }
-
   bool dominatesAllLatches(BlockId B) const {
     for (BlockId Latch : L.Latches)
       if (!DT.dominates(B, Latch))
@@ -389,19 +450,21 @@ public:
   /// Does the single-def chain of \p V (within the loop) read register
   /// \p Target? Conservative: unanalyzable chains count as depending.
   bool chainDependsOn(ValueId V, ValueId Target) const {
-    std::set<ValueId> Visited;
-    return chainDependsOnImpl(V, Target, Visited);
+    S.newEpoch(F.NumValues);
+    return chainDependsOnImpl(V, Target);
   }
 
-  bool chainDependsOnImpl(ValueId V, ValueId Target,
-                          std::set<ValueId> &Visited) const {
+  bool chainDependsOnImpl(ValueId V, ValueId Target) const {
     if (V == Target)
       return true;
     if (V == NoValue)
       return true;
-    if (!Visited.insert(V).second)
+    if (V >= F.NumValues)
+      return false; // No definitions: loop-invariant.
+    if (S.Stamp[V] == S.Epoch)
       return false; // Cycle (e.g. an induction recurrence): the first visit
                     // already explored every register this one can read.
+    S.Stamp[V] = S.Epoch;
     if (!hasInLoopDef(V))
       return false; // Loop-invariant: cannot carry Target's running value.
     std::optional<DefSite> Def = singleInLoopDef(V);
@@ -411,7 +474,7 @@ public:
     if (I.Op == Opcode::Call || I.Op == Opcode::Store)
       return true;
     for (ValueId U : InstructionUses(I))
-      if (chainDependsOnImpl(U, Target, Visited))
+      if (chainDependsOnImpl(U, Target))
         return true;
     return false;
   }
@@ -474,8 +537,6 @@ public:
     return Ds.size() == 1 ? &inst(RD.defs()[Ds[0]]) : nullptr;
   }
 
-  bool inLoop(BlockId B) const { return B < InLoop.size() && InLoop[B]; }
-
   // --- Iteration-cost model -------------------------------------------------
   //
   // A unit-cost dependence DAG over the loop body, linearized in sorted
@@ -484,35 +545,12 @@ public:
   // and terminators are excluded: HCPA's timestamp rule excludes them from
   // the measured critical path too.
 
-  struct CostModel {
-    static constexpr unsigned NoNode = UINT32_MAX;
-    /// (BB, Idx) per node id; ascending, as nodes follow the linearization.
-    std::vector<std::pair<BlockId, unsigned>> Sites;
-    /// Same-iteration def->use edges: the def nodes feeding node n are
-    /// PredList[PredBegin[n], PredBegin[n + 1]).
-    std::vector<unsigned> PredBegin = {0}, PredList;
-
-    unsigned size() const { return static_cast<unsigned>(Sites.size()); }
-    std::span<const unsigned> preds(unsigned N) const {
-      return {PredList.data() + PredBegin[N],
-              PredList.data() + PredBegin[N + 1]};
-    }
-    /// Node id of the instruction at (\p BB, \p Idx); NoNode when excluded.
-    unsigned nodeOf(BlockId BB, unsigned Idx) const {
-      auto It = std::lower_bound(Sites.begin(), Sites.end(),
-                                 std::make_pair(BB, Idx));
-      return It != Sites.end() && *It == std::make_pair(BB, Idx)
-                 ? static_cast<unsigned>(It - Sites.begin())
-                 : NoNode;
-    }
-  };
-
-  CostModel buildCostModel() const {
-    CostModel CM;
-    size_t NumInsts = 0;
-    for (BlockId B : L.Blocks)
-      NumInsts += F.Blocks[B].Insts.size();
-    ValueIndex LastDef(NumInsts); // Latest node defining each register.
+  /// Fills \p CM for this loop.
+  void buildCostModel(CostModel &CM) const {
+    CM.Sites.clear();
+    CM.PredBegin.assign(1, 0);
+    CM.PredList.clear();
+    S.newEpoch(F.NumValues); // Slot[V]: latest node defining register V.
     for (BlockId B : L.Blocks) { // Already sorted ascending.
       for (unsigned Idx = 0; Idx < F.Blocks[B].Insts.size(); ++Idx) {
         const Instruction &I = F.Blocks[B].Insts[Idx];
@@ -521,23 +559,23 @@ public:
           continue;
         unsigned Node = CM.size();
         CM.Sites.push_back({B, Idx});
-        for (ValueId V : InstructionUses(I)) {
-          uint32_t Def = LastDef.find(V);
-          if (Def != ValueIndex::NotFound)
-            CM.PredList.push_back(Def);
-        }
+        for (ValueId V : InstructionUses(I))
+          if (S.marked(V))
+            CM.PredList.push_back(S.Slot[V]);
         CM.PredBegin.push_back(static_cast<unsigned>(CM.PredList.size()));
-        if (producesValue(I.Op) && I.Result != NoValue)
-          LastDef.set(I.Result, Node);
+        if (producesValue(I.Op) && I.Result < F.NumValues) {
+          S.Stamp[I.Result] = S.Epoch;
+          S.Slot[I.Result] = Node;
+        }
       }
     }
-    return CM;
   }
 
   /// Longest unit-cost dependence path through one iteration.
-  static unsigned criticalPathEstimate(const CostModel &CM) {
+  unsigned criticalPathEstimate(const CostModel &CM) const {
     unsigned Max = 0;
-    std::vector<unsigned> Depth(CM.size(), 0);
+    std::vector<unsigned> &Depth = S.Depth;
+    Depth.assign(CM.size(), 0);
     for (unsigned N = 0; N < CM.size(); ++N) {
       unsigned Best = 0;
       for (unsigned P : CM.preds(N))
@@ -553,7 +591,8 @@ public:
   unsigned chainCost(const CostModel &CM, unsigned Src, unsigned Dst) const {
     if (Src >= CM.size() || Dst >= CM.size() || Src > Dst)
       return 0;
-    std::vector<unsigned> Dist(CM.size(), 0);
+    std::vector<unsigned> &Dist = S.Depth;
+    Dist.assign(CM.size(), 0);
     Dist[Src] = 1;
     for (unsigned N = Src + 1; N <= Dst; ++N) {
       if (!dominatesAllLatches(CM.Sites[N].first))
@@ -570,6 +609,7 @@ private:
   /// (`v = Move t` with t = `v +/- step`, both marked by the Induction
   /// pass) has a compile-time-constant step.
   void findInductionVars() {
+    S.Inductions.clear();
     for (BlockId B : L.Blocks) {
       auto [First, Last] = RD.blockDefs(B);
       for (unsigned D = First; D < Last; ++D) {
@@ -592,9 +632,8 @@ private:
         std::optional<int64_t> Step = constEval(OpI.B);
         if (!Step)
           continue;
-        InductionStep[V] = OpI.Op == Opcode::Add ? *Step : -*Step;
-        if (std::optional<int64_t> Init = initialValueOf(V))
-          InductionInit[V] = *Init;
+        S.Inductions.push_back(
+            {V, OpI.Op == Opcode::Add ? *Step : -*Step, initialValueOf(V)});
       }
     }
   }
@@ -642,13 +681,21 @@ private:
     }
   }
 
+  /// The induction variable \p V, or nullptr. A loop has few, so a scan
+  /// beats any index.
+  const InductionVar *inductionVar(ValueId V) const {
+    for (const InductionVar &IV : S.Inductions)
+      if (IV.V == V)
+        return &IV;
+    return nullptr;
+  }
+
   const Function &F;
   const Loop &L;
   const ReachingDefs &RD;
   const DomTree &DT;
-  std::vector<char> InLoop;
-  std::map<ValueId, int64_t> InductionStep;
-  std::map<ValueId, int64_t> InductionInit;
+  LoopScratch &S;
+  std::vector<char> &InLoop;
 };
 
 /// Climbs region parents from the loop's header instructions to the
@@ -823,7 +870,7 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
 StaticLoopResult classifyLoop(const Module &M, const Function &F,
                               const Loop &L, bool HasNestedLoop,
                               const ReachingDefs &RD, const DomTree &DT,
-                              const ModRefResult *MR) {
+                              LoopScratch &Scratch, const ModRefResult &MR) {
   StaticLoopResult Result;
   Result.Func = F.Id;
   Result.Header = L.Header;
@@ -837,7 +884,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
     return Result;
   }
 
-  LoopAnalyzer LA(F, L, RD, DT);
+  LoopAnalyzer LA(F, L, RD, DT, Scratch);
 
   // --- Calls: map callee mod/ref summaries to caller-side effects ----------
   //
@@ -865,7 +912,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
       std::string Name =
           I.Aux < M.Functions.size() ? M.Functions[I.Aux].Name : "?";
       CalleeNames.insert(Name);
-      const ModRefSummary *S = MR ? MR->of(I.Aux) : nullptr;
+      const ModRefSummary *S = MR.of(I.Aux);
       if (!S || S->Opaque) {
         OpaqueCallees.insert(Name);
         continue;
@@ -917,8 +964,8 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   }
 
   // --- Scalar dependences + reduction recognition ---------------------------
-  std::vector<ScalarCarriedDep> ScalarDeps =
-      findLoopCarriedScalarDeps(F, L, RD, DT);
+  const std::vector<ScalarCarriedDep> &ScalarDeps =
+      Scratch.ScalarFinder.find(F, L, RD, DT);
   const ScalarCarriedDep *BlockingScalar = nullptr;
   const ScalarCarriedDep *CertainScalar = nullptr;
   std::set<ValueId> ReductionValues;
@@ -959,7 +1006,8 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   }
 
   // --- Memory accesses and subscript tests ---------------------------------
-  std::vector<MemAccess> Accesses;
+  std::vector<MemAccess> &Accesses = Scratch.Accesses;
+  Accesses.clear();
   unsigned NumStores = 0;
   std::set<std::pair<BlockId, unsigned>> MemReductionStores;
   for (BlockId B : L.Blocks)
@@ -1202,8 +1250,9 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   // (DOACROSS), and the verdict stays Unknown. Loops containing calls never
   // get the serial verdict: the callee's work makes the unit-cost critical
   // path estimate meaningless.
-  LoopAnalyzer::CostModel CM = LA.buildCostModel();
-  unsigned CpEst = LoopAnalyzer::criticalPathEstimate(CM);
+  CostModel &CM = Scratch.CM;
+  LA.buildCostModel(CM);
+  unsigned CpEst = LA.criticalPathEstimate(CM);
   auto CycleDominates = [&](unsigned C) {
     return Result.CallSites == 0 && C >= 2 && 2 * C + 4 >= CpEst;
   };
@@ -1278,9 +1327,14 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
 
 } // namespace
 
-std::vector<StaticLoopResult>
-kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
-                                   const ModRefResult *MR) {
+namespace {
+
+/// Analyzes every natural loop of \p F. \p MR supplies callee mod/ref
+/// summaries.
+std::vector<StaticLoopResult> analyzeFunction(const Module &M,
+                                              const Function &F,
+                                              const ModRefResult &MR,
+                                              LoopScratch &Scratch) {
   std::vector<StaticLoopResult> Results;
   if (F.Blocks.empty())
     return Results;
@@ -1293,20 +1347,24 @@ kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
   for (const Loop &L : LI.Loops)
     if (L.Parent >= 0)
       HasNestedLoop[static_cast<size_t>(L.Parent)] = 1;
+  Results.reserve(LI.Loops.size());
   for (size_t Idx = 0; Idx < LI.Loops.size(); ++Idx)
     Results.push_back(classifyLoop(M, F, LI.Loops[Idx], HasNestedLoop[Idx],
-                                   RD, DT, MR));
+                                   RD, DT, Scratch, MR));
   return Results;
 }
+
+} // namespace
 
 StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
   StaticAnalysisResult Result;
   auto Start = std::chrono::steady_clock::now();
   CallGraph CG(M);
   Result.ModRef = computeModRef(M, CG);
+  LoopScratch Scratch;
   for (const Function &F : M.Functions) {
     std::vector<StaticLoopResult> FR =
-        analyzeFunctionDependence(M, F, &Result.ModRef);
+        analyzeFunction(M, F, Result.ModRef, Scratch);
     Result.Loops.insert(Result.Loops.end(), std::make_move_iterator(FR.begin()),
                         std::make_move_iterator(FR.end()));
   }

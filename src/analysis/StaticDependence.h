@@ -145,18 +145,12 @@ struct StaticAnalysisResult {
   }
 };
 
-/// Analyzes every natural loop of \p F. Requires induction/reduction marks
-/// (run after instrumentModule); unmarked IR degrades to Unknown verdicts,
-/// never to unsound ones. \p MR supplies callee mod/ref summaries; when
-/// null, loops containing calls stay Unknown.
-std::vector<StaticLoopResult>
-analyzeFunctionDependence(const Module &M, const Function &F,
-                          const ModRefResult *MR = nullptr);
-
-/// Analyzes every function of \p M (building the call graph and mod/ref
-/// summaries first), updates the telemetry registry (static.loops_analyzed,
-/// static.verdict_*, static.calls_summarized, static.reductions) and
-/// records wall time.
+/// Analyzes every natural loop of every function of \p M (building the
+/// call graph and mod/ref summaries first), updates the telemetry registry
+/// (static.loops_analyzed, static.verdict_*, static.calls_summarized,
+/// static.reductions) and records wall time. Requires induction/reduction
+/// marks (run after instrumentModule); unmarked IR degrades to Unknown
+/// verdicts, never to unsound ones.
 StaticAnalysisResult analyzeModuleDependence(const Module &M);
 
 } // namespace kremlin

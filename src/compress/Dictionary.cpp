@@ -2,6 +2,8 @@
 
 #include "compress/Dictionary.h"
 
+#include "support/Saturating.h"
+
 #include <functional>
 
 using namespace kremlin;
@@ -79,14 +81,15 @@ bool DictionaryCompressor::addRootExits(SummaryChar Root, uint64_t Count) {
 std::vector<uint64_t> DictionaryCompressor::computeMultiplicities() const {
   std::vector<uint64_t> Mult(Alphabet.size(), 0);
   for (const auto &[Root, Count] : Roots)
-    Mult[Root] += Count;
+    Mult[Root] = saturatingAdd(Mult[Root], Count);
   // Children always have smaller characters than their parents, so one
-  // descending pass propagates counts through the whole DAG.
+  // descending pass propagates counts through the whole DAG. Counts
+  // saturate like the root totals instead of wrapping.
   for (size_t C = Alphabet.size(); C-- > 0;) {
     if (Mult[C] == 0)
       continue;
     for (const auto &[Child, Freq] : Alphabet[C].Children)
-      Mult[Child] += Mult[C] * Freq;
+      Mult[Child] = saturatingAdd(Mult[Child], saturatingMul(Mult[C], Freq));
   }
   return Mult;
 }

@@ -44,6 +44,24 @@ struct BasicBlock {
   }
 };
 
+/// The 0, 1 or 2 successors of a block, held inline: walking a CFG's edges
+/// allocates nothing.
+class Successors {
+public:
+  Successors() = default;
+  explicit Successors(BlockId Only) : Slots{Only, NoBlock}, N(1) {}
+  Successors(BlockId First, BlockId Second) : Slots{First, Second}, N(2) {}
+
+  const BlockId *begin() const { return Slots; }
+  const BlockId *end() const { return Slots + N; }
+  size_t size() const { return N; }
+  BlockId operator[](size_t I) const { return Slots[I]; }
+
+private:
+  BlockId Slots[2] = {NoBlock, NoBlock};
+  size_t N = 0;
+};
+
 /// A fixed-size local array allocated in the function's frame.
 struct FrameArray {
   std::string Name;
@@ -74,16 +92,16 @@ struct Function {
   /// The static Function region covering this function's body.
   RegionId FuncRegion = NoRegion;
 
-  /// Successor block ids of \p BB (0, 1 or 2 entries).
-  std::vector<BlockId> successors(BlockId BB) const {
+  /// Successor block ids of \p BB (0, 1 or 2 entries), by value.
+  Successors successors(BlockId BB) const {
     const Instruction &Term = Blocks[BB].terminator();
     switch (Term.Op) {
     case Opcode::Br:
-      return {Term.Aux};
+      return Successors(Term.Aux);
     case Opcode::CondBr:
-      return {Term.Aux, Term.Aux2};
+      return Successors(Term.Aux, Term.Aux2);
     default:
-      return {};
+      return Successors();
     }
   }
 

@@ -2,6 +2,8 @@
 
 #include "ir/IRBuilder.h"
 
+#include <iterator>
+
 using namespace kremlin;
 
 BlockId IRBuilder::createBlock(std::string Name) {
@@ -12,8 +14,19 @@ BlockId IRBuilder::createBlock(std::string Name) {
 }
 
 bool IRBuilder::blockTerminated() const {
+  if (!Pending.empty())
+    return isTerminator(Pending.back().Op);
   const BasicBlock &BB = F.Blocks[CurBlock];
   return !BB.Insts.empty() && isTerminator(BB.Insts.back().Op);
+}
+
+void IRBuilder::flush() {
+  if (Pending.empty())
+    return;
+  std::vector<Instruction> &Insts = F.Blocks[CurBlock].Insts;
+  Insts.insert(Insts.end(), std::make_move_iterator(Pending.begin()),
+               std::make_move_iterator(Pending.end()));
+  Pending.clear();
 }
 
 ValueId IRBuilder::newValue(Type Ty) {
@@ -27,7 +40,11 @@ Instruction &IRBuilder::emit(Instruction I) {
   I.Line = I.Line ? I.Line : CurLine;
   if (I.EnclosingRegion == UINT32_MAX)
     I.EnclosingRegion = CurRegion;
-  F.Blocks[CurBlock].Insts.push_back(std::move(I));
+  bool Terminates = isTerminator(I.Op);
+  Pending.push_back(std::move(I));
+  if (!Terminates)
+    return Pending.back();
+  flush();
   return F.Blocks[CurBlock].Insts.back();
 }
 

@@ -11,6 +11,13 @@
 /// registers; it does not do region bookkeeping beyond emitting the marker
 /// instructions it is asked for.
 ///
+/// Instructions for the insertion block collect in a reused buffer and
+/// move into the block, in one exactly sized allocation, when the block is
+/// terminated, the insertion point moves, or the builder is destroyed. So
+/// a block's instruction list is not regrown instruction by instruction;
+/// until one of those events, an unterminated block does not yet show the
+/// instructions emitted into it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KREMLIN_IR_IRBUILDER_H
@@ -21,6 +28,7 @@
 
 #include <cassert>
 #include <string>
+#include <vector>
 
 namespace kremlin {
 
@@ -28,6 +36,9 @@ namespace kremlin {
 class IRBuilder {
 public:
   IRBuilder(Module &M, Function &F) : M(M), F(F) {}
+  ~IRBuilder() { flush(); }
+  IRBuilder(const IRBuilder &) = delete;
+  IRBuilder &operator=(const IRBuilder &) = delete;
 
   Module &module() { return M; }
   Function &function() { return F; }
@@ -38,6 +49,7 @@ public:
   /// Sets the insertion point to the end of \p BB.
   void setInsertPoint(BlockId BB) {
     assert(BB < F.Blocks.size() && "invalid block");
+    flush();
     CurBlock = BB;
   }
 
@@ -75,12 +87,17 @@ public:
   void emitRegionEnter(RegionId R);
   void emitRegionExit(RegionId R);
 
-  /// Appends an arbitrary pre-filled instruction.
+  /// Appends an arbitrary pre-filled instruction. The reference is valid
+  /// until the next emission or change of insertion point.
   Instruction &emit(Instruction I);
 
 private:
+  /// Moves the buffered instructions to the end of the insertion block.
+  void flush();
+
   Module &M;
   Function &F;
+  std::vector<Instruction> Pending;
   BlockId CurBlock = 0;
   unsigned CurLine = 0;
   RegionId CurRegion = NoRegion;

@@ -18,7 +18,9 @@
 #include "ir/Function.h"
 #include "ir/Region.h"
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -72,13 +74,13 @@ public:
   }
 
   /// Looks up a function id by name; returns NoFunc if absent.
-  FuncId findFunction(const std::string &Name) const {
+  FuncId findFunction(std::string_view Name) const {
     auto It = FuncNames.find(Name);
     return It == FuncNames.end() ? NoFunc : It->second;
   }
 
   /// Looks up a global id by name; returns UINT32_MAX if absent.
-  GlobalId findGlobal(const std::string &Name) const {
+  GlobalId findGlobal(std::string_view Name) const {
     auto It = GlobalNames.find(Name);
     return It == GlobalNames.end() ? UINT32_MAX : It->second;
   }
@@ -105,8 +107,16 @@ public:
   }
 
 private:
-  std::unordered_map<std::string, FuncId> FuncNames;
-  std::unordered_map<std::string, GlobalId> GlobalNames;
+  /// Lets the name maps be searched by string_view without a copy.
+  struct NameHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  template <typename Id>
+  using NameMap =
+      std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
+
+  NameMap<FuncId> FuncNames;
+  NameMap<GlobalId> GlobalNames;
 };
 
 } // namespace kremlin

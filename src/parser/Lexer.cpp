@@ -4,9 +4,8 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <unordered_map>
+#include <charconv>
+#include <utility>
 
 using namespace kremlin;
 
@@ -86,240 +85,231 @@ const char *kremlin::tokKindName(TokKind Kind) {
   return "?";
 }
 
-static TokKind keywordKind(std::string_view Word) {
-  static const std::unordered_map<std::string_view, TokKind> Keywords = {
-      {"int", TokKind::KwInt},       {"float", TokKind::KwFloat},
-      {"double", TokKind::KwFloat},  {"void", TokKind::KwVoid},
-      {"if", TokKind::KwIf},         {"else", TokKind::KwElse},
-      {"for", TokKind::KwFor},       {"while", TokKind::KwWhile},
-      {"return", TokKind::KwReturn}};
-  auto It = Keywords.find(Word);
-  return It == Keywords.end() ? TokKind::Ident : It->second;
+namespace {
+
+bool isSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+         C == '\r';
+}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+
+TokKind keywordKind(std::string_view Word) {
+  switch (Word.size()) {
+  case 2:
+    if (Word == "if")
+      return TokKind::KwIf;
+    break;
+  case 3:
+    if (Word == "int")
+      return TokKind::KwInt;
+    if (Word == "for")
+      return TokKind::KwFor;
+    break;
+  case 4:
+    if (Word == "void")
+      return TokKind::KwVoid;
+    if (Word == "else")
+      return TokKind::KwElse;
+    break;
+  case 5:
+    if (Word == "float")
+      return TokKind::KwFloat;
+    if (Word == "while")
+      return TokKind::KwWhile;
+    break;
+  case 6:
+    if (Word == "double")
+      return TokKind::KwFloat;
+    if (Word == "return")
+      return TokKind::KwReturn;
+    break;
+  default:
+    break;
+  }
+  return TokKind::Ident;
+}
+
+/// The token kind of a one- or two-character operator starting at \p C
+/// (\p Next is the following character), with its length; Eof when \p C
+/// starts no operator.
+std::pair<TokKind, unsigned> operatorKind(char C, char Next) {
+  auto OrEq = [&](TokKind WithEq, TokKind Alone) {
+    return Next == '=' ? std::make_pair(WithEq, 2u) : std::make_pair(Alone, 1u);
+  };
+  switch (C) {
+  case '(':
+    return {TokKind::LParen, 1};
+  case ')':
+    return {TokKind::RParen, 1};
+  case '{':
+    return {TokKind::LBrace, 1};
+  case '}':
+    return {TokKind::RBrace, 1};
+  case '[':
+    return {TokKind::LBracket, 1};
+  case ']':
+    return {TokKind::RBracket, 1};
+  case ',':
+    return {TokKind::Comma, 1};
+  case ';':
+    return {TokKind::Semi, 1};
+  case '+':
+    return {TokKind::Plus, 1};
+  case '-':
+    return {TokKind::Minus, 1};
+  case '*':
+    return {TokKind::Star, 1};
+  case '/':
+    return {TokKind::Slash, 1};
+  case '%':
+    return {TokKind::Percent, 1};
+  case '=':
+    return OrEq(TokKind::EqEq, TokKind::Assign);
+  case '!':
+    return OrEq(TokKind::NotEq, TokKind::Not);
+  case '<':
+    return OrEq(TokKind::LessEq, TokKind::Less);
+  case '>':
+    return OrEq(TokKind::GreaterEq, TokKind::Greater);
+  case '&':
+    if (Next == '&')
+      return {TokKind::AndAnd, 2};
+    break;
+  case '|':
+    if (Next == '|')
+      return {TokKind::OrOr, 2};
+    break;
+  default:
+    break;
+  }
+  return {TokKind::Eof, 0};
+}
+
+} // namespace
+
+bool Lexer::skipTrivia() {
+  while (Pos < Source.size()) {
+    char C = Source[Pos];
+    if (C == '\n') {
+      ++Line;
+      LineStart = ++Pos;
+    } else if (isSpace(C)) {
+      ++Pos;
+    } else if (C == '/' && peek(1) == '/') {
+      while (Pos < Source.size() && Source[Pos] != '\n')
+        ++Pos;
+    } else if (C == '/' && peek(1) == '*') {
+      unsigned StartLine = Line, StartCol = col();
+      Pos += 2;
+      while (Pos < Source.size() && !(Source[Pos] == '*' && peek(1) == '/')) {
+        if (Source[Pos] == '\n') {
+          ++Line;
+          LineStart = Pos + 1;
+        }
+        ++Pos;
+      }
+      if (Pos >= Source.size()) {
+        Errors.push_back(formatString("%u:%u: unterminated block comment",
+                                      StartLine, StartCol));
+        return false;
+      }
+      Pos += 2;
+    } else {
+      return true;
+    }
+  }
+  return true;
+}
+
+void Lexer::lexNumber(Token &T) {
+  // digits [. digits] [(e|E) [+|-] digits]; a '.' or exponent makes it a
+  // float literal.
+  size_t Start = Pos;
+  bool IsFloat = false;
+  while (isDigit(peek()))
+    ++Pos;
+  if (peek() == '.') {
+    IsFloat = true;
+    ++Pos;
+    while (isDigit(peek()))
+      ++Pos;
+  }
+  if (peek() == 'e' || peek() == 'E') {
+    IsFloat = true;
+    ++Pos;
+    if (peek() == '+' || peek() == '-')
+      ++Pos;
+    while (isDigit(peek()))
+      ++Pos;
+  }
+  T.Kind = IsFloat ? TokKind::FloatLit : TokKind::IntLit;
+  T.Text = Source.substr(Start, Pos - Start);
+  const char *First = T.Text.data(), *Last = First + T.Text.size();
+  // A dangling exponent ("1e", "1e+") reads as the mantissa alone.
+  std::errc Ec = IsFloat ? std::from_chars(First, Last, T.FloatValue).ec
+                         : std::from_chars(First, Last, T.IntValue).ec;
+  if (Ec == std::errc::result_out_of_range)
+    Errors.push_back(formatString(
+        "%u:%u: %s literal '%.*s' is out of range", T.Line, T.Col,
+        IsFloat ? "float" : "integer", static_cast<int>(T.Text.size()),
+        T.Text.data()));
+}
+
+Token Lexer::next() {
+  Token T;
+  while (true) {
+    bool Ok = skipTrivia();
+    T.Line = Line;
+    T.Col = col();
+    if (!Ok) {
+      Pos = Source.size(); // An unterminated comment ends the stream.
+      return T;
+    }
+    if (Pos >= Source.size())
+      return T;
+    char C = Source[Pos];
+    if (isIdentStart(C)) {
+      size_t Start = Pos;
+      while (isIdentChar(peek()))
+        ++Pos;
+      T.Text = Source.substr(Start, Pos - Start);
+      T.Kind = keywordKind(T.Text);
+      return T;
+    }
+    if (isDigit(C) || (C == '.' && isDigit(peek(1)))) {
+      lexNumber(T);
+      return T;
+    }
+    auto [Kind, Len] = operatorKind(C, peek(1));
+    if (Len > 0) {
+      T.Kind = Kind;
+      T.Text = Source.substr(Pos, Len);
+      Pos += Len;
+      return T;
+    }
+    if (C == '&')
+      Errors.push_back(formatString("%u:%u: stray '&' (MiniC has no bitwise "
+                                    "ops or address-of)",
+                                    T.Line, T.Col));
+    else if (C == '|')
+      Errors.push_back(formatString("%u:%u: stray '|'", T.Line, T.Col));
+    else
+      Errors.push_back(formatString("%u:%u: unexpected character '%c'",
+                                    T.Line, T.Col, C));
+    ++Pos;
+  }
 }
 
 std::vector<Token> kremlin::lexSource(std::string_view Source,
                                       std::vector<std::string> &Errors) {
   std::vector<Token> Toks;
-  size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Col = 1;
-
-  auto Peek = [&](size_t Ahead = 0) -> char {
-    return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
-  };
-  auto Advance = [&]() {
-    if (Peek() == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    ++Pos;
-  };
-  auto Push = [&](TokKind Kind, unsigned TokLine, unsigned TokCol,
-                  std::string Text = std::string()) {
-    Token T;
-    T.Kind = Kind;
-    T.Text = std::move(Text);
-    T.Line = TokLine;
-    T.Col = TokCol;
-    Toks.push_back(std::move(T));
-  };
-
-  while (Pos < Source.size()) {
-    char C = Peek();
-    unsigned TokLine = Line, TokCol = Col;
-
-    if (std::isspace(static_cast<unsigned char>(C))) {
-      Advance();
-      continue;
-    }
-    // Comments.
-    if (C == '/' && Peek(1) == '/') {
-      while (Pos < Source.size() && Peek() != '\n')
-        Advance();
-      continue;
-    }
-    if (C == '/' && Peek(1) == '*') {
-      Advance();
-      Advance();
-      while (Pos < Source.size() && !(Peek() == '*' && Peek(1) == '/'))
-        Advance();
-      if (Pos >= Source.size()) {
-        Errors.push_back(formatString("%u:%u: unterminated block comment",
-                                      TokLine, TokCol));
-        break;
-      }
-      Advance();
-      Advance();
-      continue;
-    }
-    // Identifiers and keywords.
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      std::string Word;
-      while (std::isalnum(static_cast<unsigned char>(Peek())) ||
-             Peek() == '_') {
-        Word += Peek();
-        Advance();
-      }
-      TokKind Kind = keywordKind(Word);
-      Push(Kind, TokLine, TokCol, Kind == TokKind::Ident ? Word : Word);
-      continue;
-    }
-    // Numbers.
-    if (std::isdigit(static_cast<unsigned char>(C)) ||
-        (C == '.' && std::isdigit(static_cast<unsigned char>(Peek(1))))) {
-      std::string Num;
-      bool IsFloat = false;
-      while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-        Num += Peek();
-        Advance();
-      }
-      if (Peek() == '.') {
-        IsFloat = true;
-        Num += Peek();
-        Advance();
-        while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-          Num += Peek();
-          Advance();
-        }
-      }
-      if (Peek() == 'e' || Peek() == 'E') {
-        IsFloat = true;
-        Num += Peek();
-        Advance();
-        if (Peek() == '+' || Peek() == '-') {
-          Num += Peek();
-          Advance();
-        }
-        while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-          Num += Peek();
-          Advance();
-        }
-      }
-      Token T;
-      T.Kind = IsFloat ? TokKind::FloatLit : TokKind::IntLit;
-      T.Text = Num;
-      T.Line = TokLine;
-      T.Col = TokCol;
-      if (IsFloat)
-        T.FloatValue = std::strtod(Num.c_str(), nullptr);
-      else
-        T.IntValue = std::strtoll(Num.c_str(), nullptr, 10);
-      Toks.push_back(std::move(T));
-      continue;
-    }
-
-    // Operators and punctuation.
-    auto Two = [&](char Second, TokKind Double, TokKind Single) {
-      Advance();
-      if (Peek() == Second) {
-        Advance();
-        Push(Double, TokLine, TokCol);
-      } else {
-        Push(Single, TokLine, TokCol);
-      }
-    };
-    switch (C) {
-    case '(':
-      Advance();
-      Push(TokKind::LParen, TokLine, TokCol);
-      break;
-    case ')':
-      Advance();
-      Push(TokKind::RParen, TokLine, TokCol);
-      break;
-    case '{':
-      Advance();
-      Push(TokKind::LBrace, TokLine, TokCol);
-      break;
-    case '}':
-      Advance();
-      Push(TokKind::RBrace, TokLine, TokCol);
-      break;
-    case '[':
-      Advance();
-      Push(TokKind::LBracket, TokLine, TokCol);
-      break;
-    case ']':
-      Advance();
-      Push(TokKind::RBracket, TokLine, TokCol);
-      break;
-    case ',':
-      Advance();
-      Push(TokKind::Comma, TokLine, TokCol);
-      break;
-    case ';':
-      Advance();
-      Push(TokKind::Semi, TokLine, TokCol);
-      break;
-    case '+':
-      Advance();
-      Push(TokKind::Plus, TokLine, TokCol);
-      break;
-    case '-':
-      Advance();
-      Push(TokKind::Minus, TokLine, TokCol);
-      break;
-    case '*':
-      Advance();
-      Push(TokKind::Star, TokLine, TokCol);
-      break;
-    case '/':
-      Advance();
-      Push(TokKind::Slash, TokLine, TokCol);
-      break;
-    case '%':
-      Advance();
-      Push(TokKind::Percent, TokLine, TokCol);
-      break;
-    case '=':
-      Two('=', TokKind::EqEq, TokKind::Assign);
-      break;
-    case '!':
-      Two('=', TokKind::NotEq, TokKind::Not);
-      break;
-    case '<':
-      Two('=', TokKind::LessEq, TokKind::Less);
-      break;
-    case '>':
-      Two('=', TokKind::GreaterEq, TokKind::Greater);
-      break;
-    case '&':
-      if (Peek(1) == '&') {
-        Advance();
-        Advance();
-        Push(TokKind::AndAnd, TokLine, TokCol);
-      } else {
-        Errors.push_back(
-            formatString("%u:%u: stray '&' (MiniC has no bitwise ops or "
-                         "address-of)",
-                         TokLine, TokCol));
-        Advance();
-      }
-      break;
-    case '|':
-      if (Peek(1) == '|') {
-        Advance();
-        Advance();
-        Push(TokKind::OrOr, TokLine, TokCol);
-      } else {
-        Errors.push_back(formatString("%u:%u: stray '|'", TokLine, TokCol));
-        Advance();
-      }
-      break;
-    default:
-      Errors.push_back(formatString("%u:%u: unexpected character '%c'",
-                                    TokLine, TokCol, C));
-      Advance();
-      break;
-    }
-  }
-
-  Token Eof;
-  Eof.Kind = TokKind::Eof;
-  Eof.Line = Line;
-  Eof.Col = Col;
-  Toks.push_back(std::move(Eof));
+  Lexer Lex(Source, Errors);
+  do
+    Toks.push_back(Lex.next());
+  while (Toks.back().Kind != TokKind::Eof);
   return Toks;
 }

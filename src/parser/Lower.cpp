@@ -26,7 +26,7 @@ struct Symbol {
   Type Ty = Type::Int;
   ValueId Reg = NoValue;  ///< Scalar / ParamArray.
   uint32_t ArrayId = 0;   ///< LocalArray (frame idx) / GlobalArray (global).
-  std::vector<uint64_t> Dims; ///< Arrays only; Dims[0] may be 0 for T a[].
+  DimList Dims; ///< Arrays only; Dims[0] may be 0 for T a[].
 };
 
 /// A typed expression value: the register plus its scalar type.
@@ -48,7 +48,7 @@ public:
 
     for (const GlobalDecl &G : Program.Globals) {
       if (M.findGlobal(G.Name) != UINT32_MAX || isFuncName(G.Name)) {
-        error(G.Line, "duplicate global '" + G.Name + "'");
+        error(G.Line, "duplicate global '" + std::string(G.Name) + "'");
         continue;
       }
       GlobalArray GA;
@@ -57,20 +57,19 @@ public:
       GA.SizeWords = 1;
       for (uint64_t D : G.Dims)
         GA.SizeWords *= D;
-      GlobalDims[G.Name] = G.Dims;
       GlobalId Id = M.addGlobal(std::move(GA));
       Symbol Sym;
       Sym.K = Symbol::Kind::GlobalArray;
       Sym.Ty = G.Ty;
       Sym.ArrayId = Id;
       Sym.Dims = G.Dims;
-      GlobalSyms.emplace(G.Name, std::move(Sym));
+      GlobalSyms.emplace(G.Name, Sym);
     }
 
     // Pass 1: register signatures so forward calls resolve.
     for (const FuncDecl &FD : Program.Functions) {
       if (M.findFunction(FD.Name) != NoFunc) {
-        error(FD.Line, "duplicate function '" + FD.Name + "'");
+        error(FD.Line, "duplicate function '" + std::string(FD.Name) + "'");
         continue;
       }
       Function F;
@@ -100,18 +99,30 @@ private:
   // Per-function state.
   IRBuilder *B = nullptr;
   Function *CurFunc = nullptr;
-  std::vector<std::unordered_map<std::string, Symbol>> Scopes;
-  std::unordered_map<std::string, Symbol> GlobalSyms;
+  std::unordered_map<std::string_view, Symbol> GlobalSyms;
   /// Open static regions, innermost last (Function region first).
   std::vector<RegionId> RegionStack;
-  std::unordered_map<std::string, std::vector<uint64_t>> GlobalDims;
+
+  /// Local scopes as one binding stack: a scope is the bindings above its
+  /// mark, and each name maps to its innermost binding, which links to the
+  /// one it shadows. Names stay in the map once seen, so entering and
+  /// leaving scopes allocates nothing.
+  static constexpr uint32_t NoBinding = UINT32_MAX;
+  struct Binding {
+    std::string_view Name;
+    Symbol Sym;
+    uint32_t Shadowed = NoBinding;
+  };
+  std::vector<Binding> Bindings;
+  std::vector<size_t> ScopeMarks;
+  std::unordered_map<std::string_view, uint32_t> Innermost;
 
   void error(unsigned Line, const std::string &Msg) {
     Result.Errors.push_back(formatString(
         "%s:%u: %s", Program.SourceName.c_str(), Line, Msg.c_str()));
   }
 
-  bool isFuncName(const std::string &Name) const {
+  bool isFuncName(std::string_view Name) const {
     for (const FuncDecl &F : Program.Functions)
       if (F.Name == Name)
         return true;
@@ -120,38 +131,44 @@ private:
 
   // --- Scope handling ----------------------------------------------------
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
-
-  Symbol *lookup(const std::string &Name) {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
+  void pushScope() { ScopeMarks.push_back(Bindings.size()); }
+  void popScope() {
+    while (Bindings.size() > ScopeMarks.back()) {
+      Innermost[Bindings.back().Name] = Bindings.back().Shadowed;
+      Bindings.pop_back();
     }
+    ScopeMarks.pop_back();
+  }
+
+  Symbol *lookup(std::string_view Name) {
+    auto Local = Innermost.find(Name);
+    if (Local != Innermost.end() && Local->second != NoBinding)
+      return &Bindings[Local->second].Sym;
     auto Found = GlobalSyms.find(Name);
     return Found == GlobalSyms.end() ? nullptr : &Found->second;
   }
 
-  bool declare(unsigned Line, const std::string &Name, Symbol Sym) {
-    if (Scopes.back().count(Name)) {
-      error(Line, "redeclaration of '" + Name + "'");
+  bool declare(unsigned Line, std::string_view Name, const Symbol &Sym) {
+    uint32_t &Head = Innermost.try_emplace(Name, NoBinding).first->second;
+    if (Head != NoBinding && Head >= ScopeMarks.back()) {
+      error(Line, "redeclaration of '" + std::string(Name) + "'");
       return false;
     }
-    Scopes.back().emplace(Name, std::move(Sym));
+    Bindings.push_back({Name, Sym, Head});
+    Head = static_cast<uint32_t>(Bindings.size() - 1);
     return true;
   }
 
   // --- Region bookkeeping -------------------------------------------------
 
-  RegionId makeRegion(RegionKind Kind, std::string Name, unsigned StartLine,
-                      unsigned EndLine) {
+  RegionId makeRegion(RegionKind Kind, std::string_view Name,
+                      unsigned StartLine, unsigned EndLine) {
     Module &M = *Result.M;
     StaticRegion R;
     R.Kind = Kind;
     R.Func = CurFunc->Id;
     R.Parent = Kind == RegionKind::Function ? NoRegion : RegionStack.back();
-    R.Name = std::move(Name);
+    R.Name = Name;
     R.File = M.SourceName;
     R.StartLine = StartLine;
     R.EndLine = EndLine;
@@ -167,7 +184,6 @@ private:
     IRBuilder Builder(*Result.M, F);
     B = &Builder;
     CurFunc = &F;
-    Scopes.clear();
     RegionStack.clear();
 
     BlockId Entry = B->createBlock("entry");
@@ -194,7 +210,7 @@ private:
         Sym.Ty = P.Ty;
         Sym.Reg = PIdx;
       }
-      declare(P.Line, P.Name, std::move(Sym));
+      declare(P.Line, P.Name, Sym);
     }
 
     lowerStmt(*FD.Body);
@@ -243,7 +259,7 @@ private:
     switch (S.K) {
     case Stmt::Kind::Block:
       pushScope();
-      for (const StmtPtr &Inner : S.Body)
+      for (const Stmt *Inner : S.Body)
         lowerStmt(*Inner);
       popScope();
       return;
@@ -254,7 +270,7 @@ private:
       Sym.Reg = B->newValue(S.Ty);
       ValueId Reg = Sym.Reg;
       Type Ty = Sym.Ty;
-      if (!declare(S.Line, S.Name, std::move(Sym)))
+      if (!declare(S.Line, S.Name, Sym))
         return;
       if (S.Value) {
         TypedValue V = convert(lowerExpr(*S.Value), Ty);
@@ -276,7 +292,7 @@ private:
       Sym.Ty = S.Ty;
       Sym.ArrayId = Idx;
       Sym.Dims = S.Dims;
-      declare(S.Line, S.Name, std::move(Sym));
+      declare(S.Line, S.Name, Sym);
       return;
     }
     case Stmt::Kind::Assign:
@@ -287,7 +303,7 @@ private:
         lowerExpr(*S.Value);
       return;
     case Stmt::Kind::Return:
-      emitReturn(S.Line, S.Value.get());
+      emitReturn(S.Line, S.Value);
       return;
     case Stmt::Kind::If:
       lowerIf(S);
@@ -304,11 +320,13 @@ private:
     if (Target.K == Expr::Kind::Var) {
       Symbol *Sym = lookup(Target.Name);
       if (!Sym) {
-        error(S.Line, "use of undeclared variable '" + Target.Name + "'");
+        error(S.Line,
+              "use of undeclared variable '" + std::string(Target.Name) + "'");
         return;
       }
       if (Sym->K != Symbol::Kind::Scalar) {
-        error(S.Line, "cannot assign to array '" + Target.Name + "'");
+        error(S.Line,
+              "cannot assign to array '" + std::string(Target.Name) + "'");
         return;
       }
       TypedValue V = convert(lowerExpr(*S.Value), Sym->Ty);
@@ -318,7 +336,8 @@ private:
     assert(Target.K == Expr::Kind::Index && "assign target must be lvalue");
     Symbol *Sym = lookup(Target.Name);
     if (!Sym) {
-      error(S.Line, "use of undeclared array '" + Target.Name + "'");
+      error(S.Line,
+            "use of undeclared array '" + std::string(Target.Name) + "'");
       return;
     }
     TypedValue Addr = lowerElementAddr(*Sym, Target);
@@ -395,13 +414,13 @@ private:
     if (S.Init)
       lowerStmt(*S.Init);
 
-    const char *KindName = S.K == Stmt::Kind::For ? "for" : "while";
-    RegionId LoopRegion =
-        makeRegion(RegionKind::Loop, KindName, S.Line, S.EndLine);
+    bool IsFor = S.K == Stmt::Kind::For;
+    RegionId LoopRegion = makeRegion(RegionKind::Loop, IsFor ? "for" : "while",
+                                     S.Line, S.EndLine);
     RegionStack.push_back(LoopRegion);
     B->setRegion(LoopRegion);
     RegionId BodyRegion =
-        makeRegion(RegionKind::Body, formatString("%s.body", KindName),
+        makeRegion(RegionKind::Body, IsFor ? "for.body" : "while.body",
                    S.Line, S.EndLine);
 
     B->emitRegionEnter(LoopRegion);
@@ -482,8 +501,9 @@ private:
   TypedValue lowerElementAddr(const Symbol &Sym, const Expr &IndexExpr) {
     if (IndexExpr.Args.size() != Sym.Dims.size())
       error(IndexExpr.Line,
-            formatString("'%s' has %zu dimensions but %zu indices given",
-                         IndexExpr.Name.c_str(), Sym.Dims.size(),
+            formatString("'%.*s' has %zu dimensions but %zu indices given",
+                         static_cast<int>(IndexExpr.Name.size()),
+                         IndexExpr.Name.data(), Sym.Dims.size(),
                          IndexExpr.Args.size()));
 
     // flat = ((i0 * d1 + i1) * d2 + i2) ...
@@ -515,7 +535,7 @@ private:
       break;
     case Symbol::Kind::Scalar:
       error(IndexExpr.Line,
-            "cannot index scalar '" + IndexExpr.Name + "'");
+            "cannot index scalar '" + std::string(IndexExpr.Name) + "'");
       Base = B->emitConstInt(0);
       break;
     }
@@ -532,7 +552,8 @@ private:
     case Expr::Kind::Var: {
       Symbol *Sym = lookup(E.Name);
       if (!Sym) {
-        error(E.Line, "use of undeclared variable '" + E.Name + "'");
+        error(E.Line,
+              "use of undeclared variable '" + std::string(E.Name) + "'");
         return {B->emitConstInt(0), Type::Int};
       }
       if (Sym->K == Symbol::Kind::Scalar)
@@ -553,7 +574,8 @@ private:
     case Expr::Kind::Index: {
       Symbol *Sym = lookup(E.Name);
       if (!Sym) {
-        error(E.Line, "use of undeclared array '" + E.Name + "'");
+        error(E.Line,
+              "use of undeclared array '" + std::string(E.Name) + "'");
         return {B->emitConstInt(0), Type::Int};
       }
       TypedValue Addr = lowerElementAddr(*Sym, E);
@@ -581,15 +603,17 @@ private:
     Module &M = *Result.M;
     FuncId Callee = M.findFunction(E.Name);
     if (Callee == NoFunc) {
-      error(E.Line, "call to undeclared function '" + E.Name + "'");
+      error(E.Line,
+            "call to undeclared function '" + std::string(E.Name) + "'");
       return {B->emitConstInt(0), Type::Int};
     }
     const Function &F = M.Functions[Callee];
     if (E.Args.size() != F.NumParams)
-      error(E.Line, formatString("'%s' expects %u arguments, got %zu",
-                                 E.Name.c_str(), F.NumParams,
-                                 E.Args.size()));
+      error(E.Line, formatString("'%.*s' expects %u arguments, got %zu",
+                                 static_cast<int>(E.Name.size()),
+                                 E.Name.data(), F.NumParams, E.Args.size()));
     std::vector<ValueId> Args;
+    Args.reserve(E.Args.size());
     for (size_t K = 0; K < E.Args.size(); ++K) {
       TypedValue V = lowerExpr(*E.Args[K]);
       Type Want = K < F.ParamTypes.size() ? F.ParamTypes[K] : V.Ty;

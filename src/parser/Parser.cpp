@@ -9,14 +9,18 @@ using namespace kremlin;
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser pulling tokens from a Lexer over the AST
+/// arena's copy of the source. Child lists are gathered on scratch stacks
+/// (a nested list pushes above its parent's entries and pops them before
+/// returning) and copied into the arena once complete.
 class ParserImpl {
 public:
-  ParserImpl(std::vector<Token> Toks, std::string SourceName,
-             std::vector<std::string> LexErrors)
-      : Toks(std::move(Toks)) {
+  // Result (and its arena) is constructed before Lex, which reads the
+  // arena's copy of the source.
+  ParserImpl(std::string_view Source, std::string SourceName)
+      : Lex(Result.Program.Arena.copy(Source), LexErrors) {
     Result.Program.SourceName = std::move(SourceName);
-    Result.Errors = std::move(LexErrors);
+    Cur = Lex.next();
   }
 
   ParseResult run() {
@@ -24,21 +28,45 @@ public:
       if (!parseTopLevel() && !at(TokKind::Eof))
         synchronizeTopLevel();
     }
+    // Lexical diagnostics come first, as if the whole source had been
+    // lexed before parsing began, and name the file like parse errors do.
+    for (std::string &E : LexErrors)
+      E.insert(0, Result.Program.SourceName + ":");
+    Result.Errors.insert(Result.Errors.begin(),
+                         std::make_move_iterator(LexErrors.begin()),
+                         std::make_move_iterator(LexErrors.end()));
     return std::move(Result);
   }
 
 private:
-  std::vector<Token> Toks;
-  size_t Pos = 0;
   ParseResult Result;
+  std::vector<std::string> LexErrors;
+  Lexer Lex;
+  Token Cur;
+  std::vector<const Expr *> ExprStack;
+  std::vector<const Stmt *> StmtStack;
+  std::vector<uint64_t> Dims;
+  std::vector<ParamDecl> Params;
 
-  const Token &cur() const { return Toks[Pos]; }
-  bool at(TokKind Kind) const { return cur().Kind == Kind; }
+  AstArena &arena() { return Result.Program.Arena; }
 
-  const Token &advance() {
-    const Token &T = Toks[Pos];
+  /// Moves the entries above \p Mark of scratch stack \p Stack into the
+  /// arena.
+  template <typename T>
+  std::span<const T> takeFrom(std::vector<T> &Stack, size_t Mark) {
+    std::span<const T> List =
+        arena().copy(std::span<const T>(Stack).subspan(Mark));
+    Stack.resize(Mark);
+    return List;
+  }
+
+  const Token &cur() const { return Cur; }
+  bool at(TokKind Kind) const { return Cur.Kind == Kind; }
+
+  Token advance() {
+    Token T = Cur;
     if (!at(TokKind::Eof))
-      ++Pos;
+      Cur = Lex.next();
     return T;
   }
 
@@ -99,46 +127,49 @@ private:
       error("expected an identifier");
       return false;
     }
-    std::string Name = advance().Text;
+    std::string_view Name = advance().Text;
 
     if (at(TokKind::LParen))
-      return parseFunction(Ty, std::move(Name), Line);
-    return parseGlobal(Ty, std::move(Name), Line);
+      return parseFunction(Ty, Name, Line);
+    return parseGlobal(Ty, Name, Line);
   }
 
-  bool parseGlobal(Type Ty, std::string Name, unsigned Line) {
+  bool parseGlobal(Type Ty, std::string_view Name, unsigned Line) {
     if (Ty == Type::Void) {
       error("global arrays cannot be void");
       Ty = Type::Int;
     }
     GlobalDecl G;
     G.Ty = Ty;
-    G.Name = std::move(Name);
+    G.Name = Name;
     G.Line = Line;
     if (!at(TokKind::LBracket)) {
       error("global variables must be arrays in MiniC (scalars are locals)");
       accept(TokKind::Semi);
       return false;
     }
+    Dims.clear();
     while (accept(TokKind::LBracket)) {
       if (!at(TokKind::IntLit)) {
         error("array dimension must be an integer literal");
         return false;
       }
-      G.Dims.push_back(static_cast<uint64_t>(advance().IntValue));
+      Dims.push_back(static_cast<uint64_t>(advance().IntValue));
       expect(TokKind::RBracket);
     }
+    G.Dims = takeFrom(Dims, 0);
     expect(TokKind::Semi);
-    Result.Program.Globals.push_back(std::move(G));
+    Result.Program.Globals.push_back(G);
     return true;
   }
 
-  bool parseFunction(Type RetTy, std::string Name, unsigned Line) {
+  bool parseFunction(Type RetTy, std::string_view Name, unsigned Line) {
     FuncDecl F;
     F.ReturnTy = RetTy;
-    F.Name = std::move(Name);
+    F.Name = Name;
     F.Line = Line;
     expect(TokKind::LParen);
+    Params.clear();
     if (!at(TokKind::RParen)) {
       do {
         ParamDecl P;
@@ -152,44 +183,53 @@ private:
           P.Name = advance().Text;
         else
           error("expected a parameter name");
+        Dims.clear();
         while (accept(TokKind::LBracket)) {
           P.IsArray = true;
           if (at(TokKind::IntLit))
-            P.Dims.push_back(static_cast<uint64_t>(advance().IntValue));
+            Dims.push_back(static_cast<uint64_t>(advance().IntValue));
           else
-            P.Dims.push_back(0); // Unknown leading dimension: T a[].
+            Dims.push_back(0); // Unknown leading dimension: T a[].
           expect(TokKind::RBracket);
         }
-        F.Params.push_back(std::move(P));
+        P.Dims = takeFrom(Dims, 0);
+        Params.push_back(P);
       } while (accept(TokKind::Comma));
     }
+    F.Params = takeFrom(Params, 0);
     expect(TokKind::RParen);
     if (!at(TokKind::LBrace)) {
       error("expected a function body");
       return false;
     }
     F.Body = parseBlock();
-    F.EndLine = F.Body ? F.Body->EndLine : F.Line;
-    Result.Program.Functions.push_back(std::move(F));
+    F.EndLine = F.Body->EndLine;
+    Result.Program.Functions.push_back(F);
     return true;
   }
 
-  StmtPtr parseBlock() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::Block;
+  Stmt *newStmt(Stmt::Kind K) {
+    Stmt *S = arena().make<Stmt>();
+    S->K = K;
     S->Line = cur().Line;
+    return S;
+  }
+
+  const Stmt *parseBlock() {
+    Stmt *S = newStmt(Stmt::Kind::Block);
     expect(TokKind::LBrace);
+    size_t Mark = StmtStack.size();
     while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
-      StmtPtr Inner = parseStatement();
-      if (Inner)
-        S->Body.push_back(std::move(Inner));
+      const Stmt *Inner = parseStatement();
+      StmtStack.push_back(Inner);
     }
+    S->Body = takeFrom(StmtStack, Mark);
     S->EndLine = cur().Line;
     expect(TokKind::RBrace);
     return S;
   }
 
-  StmtPtr parseStatement() {
+  const Stmt *parseStatement() {
     if (at(TokKind::LBrace))
       return parseBlock();
     if (atType())
@@ -205,9 +245,8 @@ private:
     return parseAssignOrExpr(/*RequireSemi=*/true);
   }
 
-  StmtPtr parseDecl() {
-    auto S = std::make_unique<Stmt>();
-    S->Line = cur().Line;
+  const Stmt *parseDecl() {
+    Stmt *S = newStmt(Stmt::Kind::DeclScalar);
     S->Ty = parseType();
     if (S->Ty == Type::Void) {
       error("local declarations cannot be void");
@@ -219,27 +258,25 @@ private:
       error("expected a variable name");
     if (at(TokKind::LBracket)) {
       S->K = Stmt::Kind::DeclArray;
+      Dims.clear();
       while (accept(TokKind::LBracket)) {
         if (at(TokKind::IntLit))
-          S->Dims.push_back(static_cast<uint64_t>(advance().IntValue));
+          Dims.push_back(static_cast<uint64_t>(advance().IntValue));
         else
           error("array dimension must be an integer literal");
         expect(TokKind::RBracket);
       }
-    } else {
-      S->K = Stmt::Kind::DeclScalar;
-      if (accept(TokKind::Assign))
-        S->Value = parseExpr();
+      S->Dims = takeFrom(Dims, 0);
+    } else if (accept(TokKind::Assign)) {
+      S->Value = parseExpr();
     }
     S->EndLine = cur().Line;
     expect(TokKind::Semi);
     return S;
   }
 
-  StmtPtr parseIf() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::If;
-    S->Line = cur().Line;
+  const Stmt *parseIf() {
+    Stmt *S = newStmt(Stmt::Kind::If);
     advance(); // if
     expect(TokKind::LParen);
     S->Cond = parseExpr();
@@ -247,16 +284,12 @@ private:
     S->Then = parseStatement();
     if (accept(TokKind::KwElse))
       S->Else = parseStatement();
-    S->EndLine = S->Else    ? S->Else->EndLine
-                 : S->Then ? S->Then->EndLine
-                           : S->Line;
+    S->EndLine = S->Else ? S->Else->EndLine : S->Then->EndLine;
     return S;
   }
 
-  StmtPtr parseFor() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::For;
-    S->Line = cur().Line;
+  const Stmt *parseFor() {
+    Stmt *S = newStmt(Stmt::Kind::For);
     advance(); // for
     expect(TokKind::LParen);
     if (!at(TokKind::Semi)) {
@@ -274,27 +307,23 @@ private:
       S->Step = parseAssignOrExpr(/*RequireSemi=*/false);
     expect(TokKind::RParen);
     S->Then = parseStatement();
-    S->EndLine = S->Then ? S->Then->EndLine : S->Line;
+    S->EndLine = S->Then->EndLine;
     return S;
   }
 
-  StmtPtr parseWhile() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::While;
-    S->Line = cur().Line;
+  const Stmt *parseWhile() {
+    Stmt *S = newStmt(Stmt::Kind::While);
     advance(); // while
     expect(TokKind::LParen);
     S->Cond = parseExpr();
     expect(TokKind::RParen);
     S->Then = parseStatement();
-    S->EndLine = S->Then ? S->Then->EndLine : S->Line;
+    S->EndLine = S->Then->EndLine;
     return S;
   }
 
-  StmtPtr parseReturn() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::Return;
-    S->Line = cur().Line;
+  const Stmt *parseReturn() {
+    Stmt *S = newStmt(Stmt::Kind::Return);
     advance(); // return
     if (!at(TokKind::Semi))
       S->Value = parseExpr();
@@ -304,22 +333,20 @@ private:
   }
 
   /// Parses `lvalue = expr` or a bare expression statement (a call).
-  StmtPtr parseAssignOrExpr(bool RequireSemi) {
-    auto S = std::make_unique<Stmt>();
-    S->Line = cur().Line;
-    ExprPtr E = parseExpr();
+  const Stmt *parseAssignOrExpr(bool RequireSemi) {
+    Stmt *S = newStmt(Stmt::Kind::ExprStmt);
+    const Expr *E = parseExpr();
     if (at(TokKind::Assign)) {
-      if (!E || (E->K != Expr::Kind::Var && E->K != Expr::Kind::Index))
+      if (E->K != Expr::Kind::Var && E->K != Expr::Kind::Index)
         error("left side of '=' must be a variable or array element");
       advance();
       S->K = Stmt::Kind::Assign;
-      S->Target = std::move(E);
+      S->Target = E;
       S->Value = parseExpr();
     } else {
-      if (E && E->K != Expr::Kind::Call)
+      if (E->K != Expr::Kind::Call)
         error("expression statement must be a call");
-      S->K = Stmt::Kind::ExprStmt;
-      S->Value = std::move(E);
+      S->Value = E;
     }
     S->EndLine = cur().Line;
     if (RequireSemi)
@@ -329,39 +356,44 @@ private:
 
   // --- Expressions (precedence climbing) --------------------------------
 
-  ExprPtr parseExpr() { return parseOr(); }
+  const Expr *parseExpr() { return parseOr(); }
 
-  ExprPtr makeBinary(Expr::BinOpKind Op, ExprPtr L, ExprPtr R,
-                     unsigned Line) {
-    auto E = std::make_unique<Expr>();
-    E->K = Expr::Kind::Binary;
-    E->BinOp = Op;
+  Expr *newExpr(Expr::Kind K, unsigned Line) {
+    Expr *E = arena().make<Expr>();
+    E->K = K;
     E->Line = Line;
-    E->Args.push_back(std::move(L));
-    E->Args.push_back(std::move(R));
     return E;
   }
 
-  ExprPtr parseOr() {
-    ExprPtr L = parseAnd();
+  const Expr *makeBinary(Expr::BinOpKind Op, const Expr *L, const Expr *R,
+                         unsigned Line) {
+    Expr *E = newExpr(Expr::Kind::Binary, Line);
+    E->BinOp = Op;
+    const Expr *Operands[] = {L, R};
+    E->Args = arena().copy(ExprList(Operands));
+    return E;
+  }
+
+  const Expr *parseOr() {
+    const Expr *L = parseAnd();
     while (at(TokKind::OrOr)) {
       unsigned Line = advance().Line;
-      L = makeBinary(Expr::BinOpKind::Or, std::move(L), parseAnd(), Line);
+      L = makeBinary(Expr::BinOpKind::Or, L, parseAnd(), Line);
     }
     return L;
   }
 
-  ExprPtr parseAnd() {
-    ExprPtr L = parseCmp();
+  const Expr *parseAnd() {
+    const Expr *L = parseCmp();
     while (at(TokKind::AndAnd)) {
       unsigned Line = advance().Line;
-      L = makeBinary(Expr::BinOpKind::And, std::move(L), parseCmp(), Line);
+      L = makeBinary(Expr::BinOpKind::And, L, parseCmp(), Line);
     }
     return L;
   }
 
-  ExprPtr parseCmp() {
-    ExprPtr L = parseAddSub();
+  const Expr *parseCmp() {
+    const Expr *L = parseAddSub();
     Expr::BinOpKind Op;
     switch (cur().Kind) {
     case TokKind::EqEq:
@@ -386,59 +418,59 @@ private:
       return L;
     }
     unsigned Line = advance().Line;
-    return makeBinary(Op, std::move(L), parseAddSub(), Line);
+    return makeBinary(Op, L, parseAddSub(), Line);
   }
 
-  ExprPtr parseAddSub() {
-    ExprPtr L = parseMulDiv();
+  const Expr *parseAddSub() {
+    const Expr *L = parseMulDiv();
     while (at(TokKind::Plus) || at(TokKind::Minus)) {
       Expr::BinOpKind Op = at(TokKind::Plus) ? Expr::BinOpKind::Add
                                              : Expr::BinOpKind::Sub;
       unsigned Line = advance().Line;
-      L = makeBinary(Op, std::move(L), parseMulDiv(), Line);
+      L = makeBinary(Op, L, parseMulDiv(), Line);
     }
     return L;
   }
 
-  ExprPtr parseMulDiv() {
-    ExprPtr L = parseUnary();
+  const Expr *parseMulDiv() {
+    const Expr *L = parseUnary();
     while (at(TokKind::Star) || at(TokKind::Slash) || at(TokKind::Percent)) {
       Expr::BinOpKind Op = at(TokKind::Star)    ? Expr::BinOpKind::Mul
                            : at(TokKind::Slash) ? Expr::BinOpKind::Div
                                                 : Expr::BinOpKind::Rem;
       unsigned Line = advance().Line;
-      L = makeBinary(Op, std::move(L), parseUnary(), Line);
+      L = makeBinary(Op, L, parseUnary(), Line);
     }
     return L;
   }
 
-  ExprPtr parseUnary() {
+  const Expr *parseUnary() {
     if (at(TokKind::Minus) || at(TokKind::Not)) {
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Kind::Unary;
-      E->UnOp = at(TokKind::Minus) ? Expr::UnOpKind::Neg : Expr::UnOpKind::Not;
-      E->Line = advance().Line;
-      E->Args.push_back(parseUnary());
+      Expr::UnOpKind Op =
+          at(TokKind::Minus) ? Expr::UnOpKind::Neg : Expr::UnOpKind::Not;
+      Expr *E = newExpr(Expr::Kind::Unary, advance().Line);
+      E->UnOp = Op;
+      const Expr *Operand[] = {parseUnary()};
+      E->Args = arena().copy(ExprList(Operand));
       return E;
     }
     return parsePrimary();
   }
 
-  ExprPtr parsePrimary() {
-    auto E = std::make_unique<Expr>();
-    E->Line = cur().Line;
+  const Expr *parsePrimary() {
+    unsigned Line = cur().Line;
     if (at(TokKind::IntLit)) {
-      E->K = Expr::Kind::IntLit;
+      Expr *E = newExpr(Expr::Kind::IntLit, Line);
       E->IntValue = advance().IntValue;
       return E;
     }
     if (at(TokKind::FloatLit)) {
-      E->K = Expr::Kind::FloatLit;
+      Expr *E = newExpr(Expr::Kind::FloatLit, Line);
       E->FloatValue = advance().FloatValue;
       return E;
     }
     if (accept(TokKind::LParen)) {
-      ExprPtr Inner = parseExpr();
+      const Expr *Inner = parseExpr();
       expect(TokKind::RParen);
       return Inner;
     }
@@ -450,29 +482,32 @@ private:
       if (!at(TokKind::RBrace) && !at(TokKind::RParen) &&
           !at(TokKind::Semi) && !at(TokKind::Eof))
         advance();
-      E->K = Expr::Kind::IntLit;
-      return E;
+      return newExpr(Expr::Kind::IntLit, Line);
     }
+    Expr *E = newExpr(Expr::Kind::Var, Line);
     E->Name = advance().Text;
+    size_t Mark = ExprStack.size();
     if (accept(TokKind::LParen)) {
       E->K = Expr::Kind::Call;
       if (!at(TokKind::RParen)) {
         do {
-          E->Args.push_back(parseExpr());
+          const Expr *Arg = parseExpr();
+          ExprStack.push_back(Arg);
         } while (accept(TokKind::Comma));
       }
+      E->Args = takeFrom(ExprStack, Mark);
       expect(TokKind::RParen);
       return E;
     }
     if (at(TokKind::LBracket)) {
       E->K = Expr::Kind::Index;
       while (accept(TokKind::LBracket)) {
-        E->Args.push_back(parseExpr());
+        const Expr *Sub = parseExpr();
+        ExprStack.push_back(Sub);
         expect(TokKind::RBracket);
       }
-      return E;
+      E->Args = takeFrom(ExprStack, Mark);
     }
-    E->K = Expr::Kind::Var;
     return E;
   }
 };
@@ -481,9 +516,5 @@ private:
 
 ParseResult kremlin::parseMiniC(std::string_view Source,
                                 std::string SourceName) {
-  std::vector<std::string> LexErrors;
-  std::vector<Token> Toks = lexSource(Source, LexErrors);
-  return ParserImpl(std::move(Toks), std::move(SourceName),
-                    std::move(LexErrors))
-      .run();
+  return ParserImpl(Source, std::move(SourceName)).run();
 }

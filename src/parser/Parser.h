@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parses MiniC source into a ProgramAst. Errors are collected with
-/// line:column positions; parsing continues past recoverable errors so one
-/// run reports as many problems as possible.
+/// Parses MiniC source into a ProgramAst. Errors are collected as
+/// "file:line:column: message" lines, lexical ones first; parsing continues
+/// past recoverable errors so one run reports as many problems as possible.
+/// The AST owns a copy of the source, so it outlives the parsed buffer.
 ///
 //===----------------------------------------------------------------------===//
 

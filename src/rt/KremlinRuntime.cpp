@@ -118,8 +118,9 @@ void KremlinRuntime::pushFrame(unsigned NumRegs) {
     F.Cells.resize(NeedCells);
   if (F.RowW.size() < NumRegs)
     F.RowW.resize(NumRegs);
-  std::memset(F.RowW.data(), 0, static_cast<size_t>(NumRegs) *
-                                    sizeof(uint64_t));
+  if (NumRegs > 0) // A register-less frame may have no row storage at all.
+    std::memset(F.RowW.data(), 0, static_cast<size_t>(NumRegs) *
+                                      sizeof(uint64_t));
   F.CdBase = CdMerge.size();
   FrameCells = F.Cells.data();
   FrameRowW = F.RowW.data();

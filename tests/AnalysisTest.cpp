@@ -416,7 +416,7 @@ TEST(Dominators, SingleBlockSelfLoop) {
   DomTree PDT = computePostDominators(Fn);
   EXPECT_FALSE(PDT.isReachable(B0));
   ControlDependenceInfo CDI = computeControlDependence(Fn);
-  EXPECT_EQ(CDI.Deps.size(), 1u);
+  EXPECT_EQ(CDI.numBlocks(), 1u);
 }
 
 TEST(Dominators, UnterminatedBlockTolerated) {
@@ -438,7 +438,7 @@ TEST(Dominators, UnterminatedBlockTolerated) {
   DomTree PDT = computePostDominators(Fn);
   EXPECT_FALSE(PDT.isReachable(B0));
   ControlDependenceInfo CDI = computeControlDependence(Fn);
-  EXPECT_EQ(CDI.Deps.size(), 2u);
+  EXPECT_EQ(CDI.numBlocks(), 2u);
 }
 
 TEST(ControlDependence, UnreachableBranchAddsNoDeps) {
@@ -479,7 +479,7 @@ TEST(ControlDependence, UnreachableEmptyBlockDoesNotCrash) {
   B.emitRet();
   const Function &Fn = M.Functions[Id];
   ControlDependenceInfo CDI = computeControlDependence(Fn);
-  EXPECT_EQ(CDI.Deps.size(), 2u);
+  EXPECT_EQ(CDI.numBlocks(), 2u);
   EXPECT_EQ(CDI.MergeBlock[0], NoBlock);
 }
 

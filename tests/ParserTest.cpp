@@ -4,6 +4,10 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 using namespace kremlin;
 
 namespace {
@@ -140,6 +144,77 @@ TEST(Parser, LineNumbersOnLoops) {
                          " {\n    i = i;\n  }\n}");
   EXPECT_EQ(P.Functions[0].Body->Body[0]->Line, 3u);
   EXPECT_EQ(P.Functions[0].Body->Body[0]->EndLine, 5u);
+}
+
+/// Appends every name in \p S (declarations, variables, calls, arrays) in
+/// source order.
+void collectNames(const Expr *E, std::vector<std::string> &Out) {
+  if (!E)
+    return;
+  if (!E->Name.empty())
+    Out.emplace_back(E->Name);
+  for (const Expr *Arg : E->Args)
+    collectNames(Arg, Out);
+}
+
+void collectNames(const Stmt *S, std::vector<std::string> &Out) {
+  if (!S)
+    return;
+  if (!S->Name.empty())
+    Out.emplace_back(S->Name);
+  collectNames(S->Init, Out);
+  collectNames(S->Target, Out);
+  collectNames(S->Cond, Out);
+  collectNames(S->Value, Out);
+  collectNames(S->Step, Out);
+  collectNames(S->Then, Out);
+  collectNames(S->Else, Out);
+  for (const Stmt *Inner : S->Body)
+    collectNames(Inner, Out);
+}
+
+TEST(Parser, AstOutlivesTheSourceBuffer) {
+  // Names are views; they must point into the AST's own storage, not into
+  // the caller's buffer, which is scribbled over and freed before use.
+  ParseResult R;
+  {
+    std::string Src =
+        "int grid[4];\n"
+        "float scale(float weights[], int count) {\n"
+        "  int acc = 0;\n"
+        "  for (int i = 0; i < count; i = i + 1) acc = acc + grid[i];\n"
+        "  return weights[0] * acc;\n"
+        "}\n"
+        "void main() { float v[2]; scale(v, 3); }\n";
+    R = parseMiniC(Src, "t.c");
+    std::fill(Src.begin(), Src.end(), '#');
+  }
+  ASSERT_TRUE(R.succeeded()) << R.Errors.front();
+  const ProgramAst &P = R.Program;
+  ASSERT_EQ(P.Globals.size(), 1u);
+  EXPECT_EQ(P.Globals[0].Name, "grid");
+  ASSERT_EQ(P.Functions.size(), 2u);
+  EXPECT_EQ(P.Functions[0].Name, "scale");
+  ASSERT_EQ(P.Functions[0].Params.size(), 2u);
+  EXPECT_EQ(P.Functions[0].Params[0].Name, "weights");
+  EXPECT_EQ(P.Functions[0].Params[1].Name, "count");
+  EXPECT_EQ(P.Functions[1].Name, "main");
+  std::vector<std::string> Names;
+  for (const FuncDecl &F : P.Functions)
+    collectNames(F.Body, Names);
+  // Walk order per statement: Init, Target, Cond, Value, Step, Then.
+  EXPECT_EQ(Names, (std::vector<std::string>{
+                       "acc", "i", "i", "count", "i", "i", "acc", "acc",
+                       "grid", "i", "weights", "acc", "v", "scale", "v"}));
+}
+
+TEST(Parser, LexErrorsComeFirstAndNameTheFile) {
+  std::vector<std::string> E =
+      parseErrors("void f() { int x = 1 }\nint y = 99999999999999999999;");
+  ASSERT_GE(E.size(), 2u);
+  EXPECT_EQ(E[0],
+            "test.c:2:9: integer literal '99999999999999999999' is out of range");
+  EXPECT_NE(E[1].find("test.c:1:"), std::string::npos);
 }
 
 // --- Error cases -----------------------------------------------------------

@@ -63,6 +63,11 @@ const CorpusCase Corpus[] = {
     {"zero_byte.c", "source", "stage 'execute'"},
     {"unterminated_comment.c", "source", "unterminated_comment.c"},
     {"bad_symbol.c", "source", "bad_symbol.c"},
+    // Literals past the type's range are lex errors, not saturated values.
+    {"int_literal_overflow.c", "source",
+     "1:22: integer literal '99999999999999999999' is out of range"},
+    {"float_literal_overflow.c", "source",
+     "1:24: float literal '1e999' is out of range"},
     {"zero_byte.ktrace", "trace", "trace-decode"},
     {"bad_magic.ktrace", "trace", "not a kremlin-trace"},
     {"truncated_trace.ktrace", "trace", "truncated"},

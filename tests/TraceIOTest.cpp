@@ -104,6 +104,21 @@ TEST(TraceIO, AcceptsMinimalValidTrace) {
   EXPECT_EQ(R->computeMultiplicities()[0], 1u);
 }
 
+TEST(TraceIO, MultiplicitiesSaturateInsteadOfWrapping) {
+  // Root count 2^32 times child frequency 2^32 is 2^64, one past the top:
+  // the child's count must pin at UINT64_MAX, not wrap to 0.
+  Expected<DictionaryCompressor> R =
+      readTrace("kremlin-trace 1\nregions 2\n"
+                "entry 0 10 5 0\n"
+                "entry 1 20 10 1 0 4294967296\n"
+                "root 1 4294967296\ndynregions 3\n");
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  std::vector<uint64_t> Mult = R->computeMultiplicities();
+  ASSERT_EQ(Mult.size(), 2u);
+  EXPECT_EQ(Mult[1], 4294967296u);
+  EXPECT_EQ(Mult[0], UINT64_MAX);
+}
+
 TEST(TraceIO, MalformedEntryNamesTheFieldAndToken) {
   // A bad entry names the field and the offending token, so a sign or a
   // typo does not read as truncation; only a missing line does.
