@@ -69,12 +69,14 @@ void BM_SwitchDispatchPlain(benchmark::State &State) {
 }
 BENCHMARK(BM_SwitchDispatchPlain)->Unit(benchmark::kMillisecond);
 
-/// Module -> tape decode cost (paid once per profiled execution).
+/// Module -> tape decode cost, segment summaries included (paid once per
+/// profiled execution).
 void BM_TapeDecode(benchmark::State &State) {
   const Module &M = trackingModule();
   std::vector<uint64_t> GlobalBase(M.Globals.size(), 0);
+  LatencyTable Lat = makeLatencyTable(LatencyModel());
   for (auto _ : State) {
-    ModuleTape Tape(M, GlobalBase);
+    ModuleTape Tape(M, GlobalBase, &Lat);
     benchmark::DoNotOptimize(Tape.Funcs.data());
   }
   State.SetItemsProcessed(State.iterations());

@@ -34,6 +34,38 @@ uint64_t gcd64(uint64_t A, uint64_t B) {
   return A;
 }
 
+/// (token, coefficient) terms of an Affine. A subscript carries one or two
+/// symbols, so a few live inline and only longer forms reach the heap.
+class SymTerms {
+public:
+  using Term = std::pair<uint64_t, int64_t>;
+
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  const Term &operator[](size_t I) const { return data()[I]; }
+  const Term *begin() const { return data(); }
+  const Term *end() const { return data() + N; }
+
+  void push_back(const Term &T) {
+    if (N < Inline) {
+      Buf[N++] = T;
+      return;
+    }
+    if (N == Inline)
+      Spill.assign(Buf, Buf + Inline);
+    Spill.push_back(T);
+    ++N;
+  }
+
+private:
+  static constexpr size_t Inline = 4;
+  const Term *data() const { return N <= Inline ? Buf : Spill.data(); }
+
+  Term Buf[Inline];
+  std::vector<Term> Spill;
+  size_t N = 0;
+};
+
 /// A linear form over the loop's normalized iteration number:
 ///   IterCoeff * i + Const + sum(SymCoeff_k * sym_k)
 /// Symbols are live-in registers (token = V*2) or the unknown initial value
@@ -41,7 +73,7 @@ uint64_t gcd64(uint64_t A, uint64_t B) {
 struct Affine {
   int64_t IterCoeff = 0;
   int64_t Const = 0;
-  std::vector<std::pair<uint64_t, int64_t>> Syms;
+  SymTerms Syms;
 
   bool isConstant() const { return IterCoeff == 0 && Syms.empty(); }
 };

@@ -69,6 +69,10 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
   static telemetry::Counter &Loads = Reg.counter("rt.loads");
   static telemetry::Counter &Stores = Reg.counter("rt.stores");
   static telemetry::Counter &Retags = Reg.counter("rt.level_retags");
+  static telemetry::Counter &Events = Reg.counter("rt.events");
+  static telemetry::Counter &SegEvents = Reg.counter("rt.segment_events");
+  static telemetry::Counter &SegOps = Reg.counter("rt.segment_ops");
+  static telemetry::Counter &ElidedOps = Reg.counter("rt.elided_ops");
   static telemetry::Counter &SegAlloc =
       Reg.counter("shadow.segments_allocated");
   static telemetry::Counter &SegFreed =
@@ -84,6 +88,10 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
   Loads.add(Stats.Loads);
   Stores.add(Stats.Stores);
   Retags.add(Stats.LevelRetags);
+  Events.add(Stats.InstEvents);
+  SegEvents.add(Stats.SegmentEvents);
+  SegOps.add(Stats.SegmentOps);
+  ElidedOps.add(Stats.ElidedOps);
 
   const ShadowMemory &Mem = RT.shadowMemory();
   // releaseRange decrements the live-segment count; the lifetime total is

@@ -18,9 +18,11 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define KREMLIN_THREADED_DISPATCH 1
 #define KI_UNLIKELY(x) (__builtin_expect(!!(x), 0))
+#define KI_INLINE __attribute__((always_inline)) inline
 #else
 #define KREMLIN_THREADED_DISPATCH 0
 #define KI_UNLIKELY(x) (x)
+#define KI_INLINE inline
 #endif
 
 using namespace kremlin;
@@ -630,6 +632,22 @@ private:
     commit();
   }
 
+  /// A register op's (or Br's) event: none for a member (its run's head
+  /// emitted the Segment event covering it), the Segment event for a head,
+  /// its own otherwise. Inlined so members cost one flag test.
+  KI_INLINE void emitRegOp(const TapeFunction &TF, const TapeInst *I,
+                           uint32_t A, uint32_t B) {
+    if (I->Flags & SegMemberFlag)
+      return;
+    if (I->Flags & SegHeadFlag) {
+      ProfEvent &E = push(EvKind::Segment);
+      E.setObject(&TF.Segments[I->X]);
+      commit();
+      return;
+    }
+    emitOp(static_cast<Opcode>(I->Op), I->Dst, A, B, I->Flags);
+  }
+
   void emitMem(EvKind Kind, uint32_t Dst, uint32_t AddrReg, uint64_t Addr) {
     ProfEvent &E = push(Kind);
     E.A = Dst;
@@ -825,8 +843,7 @@ L_Switch:
       if (I->Flags & NoEmitFlag)
         ++FreeOps;
       else
-        emitOp(static_cast<Opcode>(I->Op), I->Dst, NoValue, NoValue,
-               I->Flags);
+        emitRegOp(TF, I, NoValue, NoValue);
     }
     ++PC;
     DISPATCH();
@@ -835,7 +852,7 @@ L_Switch:
   OP(Move) {
     Regs[I->Dst] = Regs[I->A];
     if (Profiled)
-      emitOp(Opcode::Move, I->Dst, I->A, NoValue, I->Flags);
+      emitRegOp(TF, I, I->A, NoValue);
     ++PC;
     DISPATCH();
   }
@@ -846,7 +863,7 @@ L_Switch:
       if (I->Flags & NoEmitFlag)
         ++FreeOps;
       else
-        emitOp(Opcode::GlobalAddr, I->Dst, NoValue, NoValue, I->Flags);
+        emitRegOp(TF, I, NoValue, NoValue);
     }
     ++PC;
     DISPATCH();
@@ -858,7 +875,7 @@ L_Switch:
       if (I->Flags & NoEmitFlag)
         ++FreeOps;
       else
-        emitOp(Opcode::FrameAddr, I->Dst, NoValue, NoValue, I->Flags);
+        emitRegOp(TF, I, NoValue, NoValue);
     }
     ++PC;
     DISPATCH();
@@ -872,7 +889,7 @@ L_Switch:
     (void)Vb;                                                                 \
     Regs[I->Dst] = (expr);                                                    \
     if (Profiled)                                                             \
-      emitOp(Opcode::name, I->Dst, I->A, I->B, I->Flags);                     \
+      emitRegOp(TF, I, I->A, I->B);                                           \
     ++PC;                                                                     \
     DISPATCH();                                                               \
   }
@@ -908,7 +925,7 @@ L_Switch:
     uint64_t Va = Regs[I->A];                                                 \
     Regs[I->Dst] = (expr);                                                    \
     if (Profiled)                                                             \
-      emitOp(Opcode::name, I->Dst, I->A, NoValue, I->Flags);                  \
+      emitRegOp(TF, I, I->A, NoValue);                                        \
     ++PC;                                                                     \
     DISPATCH();                                                               \
   }
@@ -1011,8 +1028,9 @@ L_Switch:
     if (Profiled) {
       if (KI_UNLIKELY(Bail))
         goto L_Bail;
-      emitOp(Opcode::Br, NoValue, NoValue, NoValue, 0);
-      emitA(EvKind::BlockEntry, I->Y);
+      emitRegOp(TF, I, NoValue, NoValue);
+      if (I->Flags & BlockEntryFlag)
+        emitA(EvKind::BlockEntry, I->Y);
     }
     PC = I->X;
     DISPATCH();
@@ -1025,7 +1043,8 @@ L_Switch:
     if (Profiled) {
       const CondBrInfo &CB = TF.Branches[I->Imm];
       emitCondBranch(I->A, CB.Merge, CB.PushBlock);
-      emitA(EvKind::BlockEntry, Taken ? CB.TrueBlock : CB.FalseBlock);
+      if (Taken ? CB.TrueEntry : CB.FalseEntry)
+        emitA(EvKind::BlockEntry, Taken ? CB.TrueBlock : CB.FalseBlock);
     }
     PC = Taken ? I->X : I->Y;
     DISPATCH();
@@ -1044,7 +1063,8 @@ L_Switch:
     if (Profiled) {
       const CondBrInfo &CB = TF.Branches[I->Imm];
       emitCondBranch(I->Dst, CB.Merge, CB.PushBlock);
-      emitA(EvKind::BlockEntry, Taken ? CB.TrueBlock : CB.FalseBlock);
+      if (Taken ? CB.TrueEntry : CB.FalseEntry)
+        emitA(EvKind::BlockEntry, Taken ? CB.TrueBlock : CB.FalseBlock);
     }
     PC = Taken ? I->X : I->Y;
     DISPATCH();
@@ -1128,8 +1148,11 @@ Interpreter::~Interpreter() = default;
 
 ExecResult Interpreter::run(KremlinRuntime *RT) {
   if (Cfg.UseTape) {
-    if (!Tape)
-      Tape = std::make_unique<ModuleTape>(M, GlobalBase);
+    // Segment summaries bake in the profiling runtime's latencies; a
+    // profiled run under another latency table decodes its own tape.
+    if (!Tape || (RT && Tape->Latency != RT->latencies()))
+      Tape = std::make_unique<ModuleTape>(
+          M, GlobalBase, RT ? &RT->latencies() : nullptr);
     TapeEngine E(M, *Tape, Cfg, GlobalWords, RT);
     return E.run();
   }

@@ -81,7 +81,8 @@ private:
   std::vector<uint64_t> GlobalBase; ///< Word address of each global.
   uint64_t GlobalWords = 0;
   /// Pre-decoded execution tape, built lazily on the first tape-mode run
-  /// and reused across runs (the module is immutable).
+  /// and reused across runs (the module is immutable) until a profiled run
+  /// brings a latency table its segments were not built for.
   std::unique_ptr<ModuleTape> Tape;
 };
 

@@ -39,8 +39,9 @@ uint8_t breakFlag(const Instruction &I) {
 /// patched to tape indices once every block's start offset is known.
 class FunctionDecoder {
 public:
-  FunctionDecoder(const Function &F, const std::vector<uint64_t> &GlobalBase)
-      : F(F), GlobalBase(GlobalBase) {}
+  FunctionDecoder(const Function &F, const std::vector<uint64_t> &GlobalBase,
+                  const LatencyTable *Lat)
+      : F(F), GlobalBase(GlobalBase), Lat(Lat) {}
 
   TapeFunction decode() {
     TF.Src = &F;
@@ -69,12 +70,16 @@ public:
       lowerBlock(B);
     }
     patchTargets();
+    markBlockEntries();
+    if (Lat)
+      foldRuns();
     return std::move(TF);
   }
 
 private:
   const Function &F;
   const std::vector<uint64_t> &GlobalBase;
+  const LatencyTable *Lat;
   TapeFunction TF;
   std::vector<uint64_t> FrameOffset;
   std::vector<uint32_t> BlockStart;
@@ -189,9 +194,134 @@ private:
     return true;
   }
 
+  /// A parameter's row also holds the argument's copied times, and a
+  /// const with latency must still add its work.
   void markNoEmit(TapeInst &T) {
-    if (T.Dst != NoValue && WriterCount[T.Dst] == 1)
+    if (T.Dst != NoValue && T.Dst >= F.NumParams && WriterCount[T.Dst] == 1 &&
+        (!Lat || (*Lat)[T.Op] == 0))
       T.Flags |= NoEmitFlag;
+  }
+
+  /// Entering a block pops control dependences only if some branch of the
+  /// function merges there or sits there (popControlDepsAtBlock); entries
+  /// into every other block are no-ops and emit no event.
+  void markBlockEntries() {
+    std::vector<uint8_t> MayPop(F.Blocks.size(), 0);
+    for (const CondBrInfo &B : TF.Branches) {
+      if (B.Merge < MayPop.size())
+        MayPop[B.Merge] = 1;
+      MayPop[B.PushBlock] = 1;
+    }
+    for (CondBrInfo &B : TF.Branches) {
+      B.TrueEntry = MayPop[B.TrueBlock];
+      B.FalseEntry = MayPop[B.FalseBlock];
+    }
+    for (TapeInst &T : TF.Code)
+      if (T.Op == tapeOp(Opcode::Br) && MayPop[T.Y])
+        T.Flags |= BlockEntryFlag;
+  }
+
+  /// Folds every maximal straight-line run of register operations (split
+  /// at MaxSegmentOps) that a summary makes cheaper into one segment. A
+  /// run never crosses a block boundary: every block ends in a terminator,
+  /// or TapeHalt, none of which is a register op. A run may end in its
+  /// block's unconditional branch, whose onOp reads only the control
+  /// dependence and writes only the level max.
+  void foldRuns() {
+    // A register defined in a run is dead after it iff it has one static
+    // definition and all its uses follow it inside the run; every other
+    // register counts as live. Use counts span the whole function.
+    std::vector<uint32_t> UseCount(F.NumValues, 0);
+    auto countUse = [&](ValueId V) {
+      if (V != NoValue && V < F.NumValues)
+        ++UseCount[V];
+    };
+    for (const BasicBlock &B : F.Blocks)
+      for (const Instruction &I : B.Insts) {
+        countUse(I.A);
+        countUse(I.B);
+        for (ValueId Arg : I.CallArgs)
+          countUse(Arg);
+      }
+
+    std::vector<uint32_t> UsesAfterDef(F.NumValues, 0);
+    std::vector<uint8_t> Defined(F.NumValues, 0);
+    std::vector<SegmentOp> Ops;
+    SegmentBuilder Builder(*Lat, F.NumValues);
+    auto isRegisterOp = [](const TapeInst &T) {
+      return T.Op <= tapeOp(Opcode::PtrAdd);
+    };
+    const size_t N = TF.Code.size();
+    for (size_t Begin = 0; Begin < N;) {
+      if (!isRegisterOp(TF.Code[Begin])) {
+        ++Begin;
+        continue;
+      }
+      size_t End = Begin;
+      unsigned Counted = 0;
+      auto fits = [&](const TapeInst &T) {
+        return (T.Flags & NoEmitFlag) || Counted < MaxSegmentOps;
+      };
+      while (End < N && isRegisterOp(TF.Code[End]) && fits(TF.Code[End]))
+        Counted += !(TF.Code[End++].Flags & NoEmitFlag);
+      if (End < N && TF.Code[End].Op == tapeOp(Opcode::Br) &&
+          fits(TF.Code[End])) {
+        ++End;
+        ++Counted;
+      }
+
+      if (Counted < 2) { // One counted op: its own event is as cheap.
+        Begin = End;
+        continue;
+      }
+      for (size_t K = Begin; K < End; ++K) {
+        const TapeInst &T = TF.Code[K];
+        for (ValueId V : {T.A, T.B})
+          if (V != NoValue && Defined[V])
+            ++UsesAfterDef[V];
+        if (T.Dst != NoValue)
+          Defined[T.Dst] = 1;
+      }
+      Ops.clear();
+      for (size_t K = Begin; K < End; ++K) {
+        const TapeInst &T = TF.Code[K];
+        SegmentOp O;
+        O.Op = static_cast<Opcode>(T.Op);
+        O.Dst = T.Dst;
+        O.A = T.A;
+        O.B = T.B;
+        O.BreakDepA = (T.Flags & BreakDepFlag) != 0;
+        O.Elided = (T.Flags & NoEmitFlag) != 0;
+        O.LiveOut = T.Dst != NoValue &&
+                    !(WriterCount[T.Dst] == 1 &&
+                      UsesAfterDef[T.Dst] == UseCount[T.Dst]);
+        Ops.push_back(O);
+      }
+      for (size_t K = Begin; K < End; ++K) {
+        const TapeInst &T = TF.Code[K];
+        for (ValueId V : {T.A, T.B, T.Dst})
+          if (V != NoValue) {
+            UsesAfterDef[V] = 0;
+            Defined[V] = 0;
+          }
+      }
+
+      SegmentSummary S = Builder.build(Ops);
+      if (foldsProfitably(S, Ops)) {
+        uint8_t Role = SegHeadFlag;
+        for (size_t K = Begin; K < End; ++K) {
+          TapeInst &T = TF.Code[K];
+          if (T.Flags & NoEmitFlag)
+            continue; // Still a free op; the summary reads its row as 0.
+          T.Flags |= Role;
+          if (Role == SegHeadFlag)
+            T.X = static_cast<uint32_t>(TF.Segments.size());
+          Role = SegMemberFlag;
+        }
+        TF.Segments.push_back(std::move(S));
+      }
+      Begin = End;
+    }
   }
 
   uint64_t addBranchInfo(const Instruction &Br, uint32_t BlockId) {
@@ -288,8 +418,11 @@ private:
 } // namespace
 
 ModuleTape::ModuleTape(const Module &M,
-                       const std::vector<uint64_t> &GlobalBase) {
+                       const std::vector<uint64_t> &GlobalBase,
+                       const LatencyTable *Lat) {
+  if (Lat)
+    Latency = *Lat;
   Funcs.reserve(M.Functions.size());
   for (const Function &F : M.Functions)
-    Funcs.push_back(FunctionDecoder(F, GlobalBase).decode());
+    Funcs.push_back(FunctionDecoder(F, GlobalBase, Lat).decode());
 }

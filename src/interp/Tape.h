@@ -18,7 +18,13 @@
 ///    suite: compare-branch (loop exits and if tests) and load-op-store
 ///    (read-modify-write of an array cell). Fused instructions execute and
 ///    emit profiling events exactly as their components would — only the
-///    dispatches are saved — so profiles stay bit-identical.
+///    dispatches are saved — so profiles stay bit-identical;
+///  * compound profiling events (profiled tapes only): each straight-line
+///    run of register operations is folded into one SegmentSummary
+///    (rt/Segment.h) under the runtime's latency table. The run's first
+///    emitting op emits it as one Segment event and the others emit
+///    nothing; every op still executes and counts its step. Entering a
+///    block no branch merges into or sits in emits no BlockEntry event.
 ///
 /// Tape opcodes reuse the IR Opcode numbering and append the fused forms,
 /// so a computed-goto jump table indexes directly on TapeInst::Op.
@@ -29,8 +35,10 @@
 #define KREMLIN_INTERP_TAPE_H
 
 #include "ir/Module.h"
+#include "rt/Segment.h"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace kremlin {
@@ -45,8 +53,11 @@ enum : uint8_t {
 
 /// TapeInst::Flags bits.
 enum : uint8_t {
-  BreakDepFlag = 1, ///< Induction/reduction update: ignore the A dep.
-  NoEmitFlag = 2,   ///< Profiling event elided (see class comment).
+  BreakDepFlag = 1,    ///< Induction/reduction update: ignore the A dep.
+  NoEmitFlag = 2,      ///< Profiling event elided (see class comment).
+  SegHeadFlag = 4,     ///< Emits its run's Segment event (X = its index).
+  SegMemberFlag = 8,   ///< Covered by its run's Segment event: no event.
+  BlockEntryFlag = 16, ///< Br: the target block may pop control deps.
 };
 
 /// Side table for conditional branches: everything the profiler needs that
@@ -56,6 +67,9 @@ struct CondBrInfo {
   uint32_t PushBlock = UINT32_MAX; ///< Block containing the branch.
   uint32_t TrueBlock = 0;          ///< Taken successor (block id).
   uint32_t FalseBlock = 0;         ///< Fall-through successor (block id).
+  /// The successor may pop control deps: its entry emits BlockEntry.
+  bool TrueEntry = true;
+  bool FalseEntry = true;
 };
 
 /// One pre-decoded instruction. Field use by opcode:
@@ -63,12 +77,16 @@ struct CondBrInfo {
 ///   GlobalAddr: Dst, Imm (absolute word address)
 ///   FrameAddr: Dst, Imm (offset from the frame base)
 ///
-/// Flags bit 1 (NoEmitFlag) marks a const-class op whose profiling event is
-/// elided: when its register has exactly one static writer, the row only
-/// ever holds "available at time 0", which is indistinguishable from the
-/// zero-initialized frame row (a tag mismatch reads as time 0), so the
-/// runtime's row write is a no-op and only the instruction count remains —
-/// reported in bulk via KremlinRuntime::noteFreeOps.
+/// Flags bit 1 (NoEmitFlag) marks a zero-latency const-class op whose
+/// profiling event is elided: when its register has exactly one static
+/// writer and is not a parameter, the row only ever holds "available at
+/// time 0", which is indistinguishable from the zero-initialized frame row
+/// (a tag mismatch reads as time 0), so the runtime's row write is a no-op
+/// and only the instruction count remains — reported in bulk via
+/// KremlinRuntime::noteFreeOps.
+/// Register ops (ConstInt..PtrAdd) may also carry SegHeadFlag (X = index
+/// into TapeFunction::Segments) or SegMemberFlag; a Br ending a folded run
+/// carries SegMemberFlag.
 ///   unary/binary/Move/PtrAdd: Dst, A, B; Flags bit 0 = BreakDepA
 ///   Load: Dst, A (addr reg), X (line)     Store: A (addr), B (val), X (line)
 ///   RegionEnter/Exit: Imm (region id)
@@ -103,19 +121,25 @@ struct TapeFunction {
   const Function *Src = nullptr; ///< For names/lines in error messages.
   uint32_t NumValues = 0;
   uint64_t FrameWords = 0;
+  /// Compound events of the function's folded runs (profiled tapes).
+  std::vector<SegmentSummary> Segments;
   /// Fusion tallies (decode-time statistics, asserted on by tests).
   unsigned FusedCmpBr = 0;
   unsigned FusedLoadOpStore = 0;
 };
 
-/// The whole module in tape form. Built once per Interpreter; immutable
-/// afterwards.
+/// The whole module in tape form; immutable once built.
 struct ModuleTape {
   /// \p GlobalBase gives each global's absolute word address, resolved into
-  /// GlobalAddr immediates at decode time.
-  ModuleTape(const Module &M, const std::vector<uint64_t> &GlobalBase);
+  /// GlobalAddr immediates at decode time. With \p Lat (the profiling
+  /// runtime's latencies) the tape also folds register runs into
+  /// segments; without it, it emits one event per op.
+  ModuleTape(const Module &M, const std::vector<uint64_t> &GlobalBase,
+             const LatencyTable *Lat = nullptr);
 
   std::vector<TapeFunction> Funcs;
+  /// The latencies the segments were built for.
+  std::optional<LatencyTable> Latency;
 };
 
 } // namespace kremlin

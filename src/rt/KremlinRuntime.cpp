@@ -13,6 +13,57 @@ namespace {
 /// All-zero control-dependence row for BreakDep operations: lets the onOp
 /// slot loop read through one unconditional pointer.
 const Time ZeroTimes[MaxTrackedLevels] = {};
+
+/// Per slot, V = max(K, Src[t.Src][Slot] + t.Dist over N terms at T); writes
+/// V to Dst (unless null) and folds it into LM. N is a compile-time count,
+/// so the term loop unrolls and its pointers and distances stay in
+/// registers; N == 0 takes the count from \p Count.
+template <unsigned N>
+void maxPlusSlots(Time K, const SegmentTerm *T, unsigned Count,
+                  const Time *const *Src, Time *Dst, Time *LM,
+                  unsigned Slots) {
+  constexpr unsigned Cap = N ? N : MaxSegmentSources;
+  const unsigned Num = N ? N : Count;
+  const Time *X[Cap];
+  Time D[Cap];
+  for (unsigned I = 0; I < Num; ++I) {
+    X[I] = Src[T[I].Src];
+    D[I] = T[I].Dist;
+  }
+  for (unsigned Slot = 0; Slot < Slots; ++Slot) {
+    Time V = K;
+    for (unsigned I = 0; I < Num; ++I) {
+      Time Y = X[I][Slot] + D[I];
+      V = Y > V ? Y : V;
+    }
+    if (Dst)
+      Dst[Slot] = V;
+    LM[Slot] = V > LM[Slot] ? V : LM[Slot];
+  }
+}
+
+void evalMaxPlus(const SegmentExpr &E, const SegmentTerm *Terms,
+                 const Time *const *Src, Time *Dst, Time *LM,
+                 unsigned Slots) {
+  const SegmentTerm *T = Terms + E.Begin;
+  unsigned Count = E.End - E.Begin;
+  switch (Count) {
+  case 1:
+    return maxPlusSlots<1>(E.K, T, Count, Src, Dst, LM, Slots);
+  case 2:
+    return maxPlusSlots<2>(E.K, T, Count, Src, Dst, LM, Slots);
+  case 3:
+    return maxPlusSlots<3>(E.K, T, Count, Src, Dst, LM, Slots);
+  case 4:
+    return maxPlusSlots<4>(E.K, T, Count, Src, Dst, LM, Slots);
+  case 5:
+    return maxPlusSlots<5>(E.K, T, Count, Src, Dst, LM, Slots);
+  case 6:
+    return maxPlusSlots<6>(E.K, T, Count, Src, Dst, LM, Slots);
+  default:
+    return maxPlusSlots<0>(E.K, T, Count, Src, Dst, LM, Slots);
+  }
+}
 } // namespace
 
 KremlinRuntime::KremlinRuntime(const KremlinConfig &Cfg,
@@ -23,8 +74,9 @@ KremlinRuntime::KremlinRuntime(const KremlinConfig &Cfg,
          "NumLevels outside the supported window");
   CurInstance.assign(Cfg.NumLevels, 0);
   LevelMaxTimes.assign(Cfg.NumLevels, 0);
-  for (size_t Op = 0; Op < sizeof(LatOf) / sizeof(LatOf[0]); ++Op)
-    LatOf[Op] = Cfg.Latency.latencyFor(static_cast<Opcode>(Op));
+  LatOf = makeLatencyTable(Cfg.Latency);
+  SegmentInputs.resize(static_cast<size_t>(MaxSegmentSources - 1) *
+                       Cfg.NumLevels);
 }
 
 void KremlinRuntime::enterRegion(RegionId R) {
@@ -252,8 +304,7 @@ void KremlinRuntime::onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B,
   // time. Treat them (and address-base constants) as available at time 0,
   // independent of control dependences — otherwise a loop's control chain
   // would leak into every literal used inside the loop.
-  if (Op == Opcode::ConstInt || Op == Opcode::ConstFloat ||
-      Op == Opcode::GlobalAddr || Op == Opcode::FrameAddr) {
+  if (isConstClassOp(Op)) {
     // "Available at time 0" and "unwritten row" are indistinguishable to
     // every reader, so the row write collapses to an O(1) invalidation:
     // watermark 0 predates every instance id.
@@ -295,6 +346,47 @@ void KremlinRuntime::onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B,
       TDst[Slot] = T;
     LM[Slot] = T > LM[Slot] ? T : LM[Slot];
   }
+}
+
+void KremlinRuntime::onSegment(const SegmentSummary &S) {
+  addWork(S.Work);
+  Stats.DynInstructions += S.NumOps;
+  ++Stats.SegmentEvents;
+  Stats.SegmentOps += S.NumOps;
+  if (LiveFrames == 0)
+    return;
+  const unsigned NL = Cfg.NumLevels;
+  const unsigned Slots = SlotsActive;
+  Time *FC = FrameCells;
+  uint64_t *RW = FrameRowW;
+
+  // Snapshot the inputs through their watermarks first: live-out rows may
+  // alias inputs, exactly like onOp's Dst aliasing A or B. Src[0] is the
+  // control dependence, Src[1..] the snapshots.
+  const uint64_t *Inst = CurInstance.data();
+  const size_t NumIn = S.Inputs.size();
+  const Time *Src[MaxSegmentSources];
+  Src[0] = CdNow;
+  for (size_t I = 0; I < NumIn; ++I) {
+    const uint64_t W = RW[S.Inputs[I]];
+    const Time *Row = FC + static_cast<size_t>(S.Inputs[I]) * NL;
+    Time *In = SegmentInputs.data() + I * NL;
+    for (unsigned Slot = 0; Slot < Slots; ++Slot)
+      In[Slot] = Inst[Slot] <= W ? Row[Slot] : 0;
+    Src[I + 1] = In;
+  }
+  for (ValueId R : S.ZeroRows)
+    RW[R] = 0;
+
+  Time *LM = LevelMaxTimes.data();
+  const SegmentTerm *Terms = S.Terms.data();
+  for (const SegmentRow &Row : S.Rows) {
+    RW[Row.Reg] = NextInstance;
+    evalMaxPlus(Row.E, Terms, Src, FC + static_cast<size_t>(Row.Reg) * NL,
+                LM, Slots);
+  }
+  if (S.LevelMax.K != 0 || S.LevelMax.Begin != S.LevelMax.End)
+    evalMaxPlus(S.LevelMax, Terms, Src, nullptr, LM, Slots);
 }
 
 void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
@@ -383,6 +475,7 @@ __attribute__((flatten))
 void KremlinRuntime::consumeBatch(const ProfEvent *Ev, size_t N) {
   for (size_t I = 0; I < N; ++I) {
     const ProfEvent &E = Ev[I];
+    Stats.InstEvents += E.Kind <= static_cast<uint8_t>(EvKind::CondBranch);
     switch (static_cast<EvKind>(E.Kind)) {
     case EvKind::Op:
       onOp(static_cast<Opcode>(E.Opc), E.A, E.B, E.C, (E.Flags & 1) != 0);
@@ -419,6 +512,9 @@ void KremlinRuntime::consumeBatch(const ProfEvent *Ev, size_t N) {
       break;
     case EvKind::ReleaseRange:
       Memory.releaseRange(E.Addr, E.words());
+      break;
+    case EvKind::Segment:
+      onSegment(*static_cast<const SegmentSummary *>(E.object()));
       break;
     }
   }

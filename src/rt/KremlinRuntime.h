@@ -33,6 +33,7 @@
 #include "ir/Instruction.h"
 #include "rt/ProfEvent.h"
 #include "rt/RegionSummary.h"
+#include "rt/Segment.h"
 #include "rt/ShadowMemory.h"
 #include "rt/Timestamp.h"
 
@@ -74,6 +75,17 @@ struct RuntimeStats {
   uint64_t LevelRetags = 0;
   /// Deepest region nesting reached (largest region-stack size).
   unsigned MaxDepth = 0;
+  // Event-stream tallies, kept by consumeBatch and noteFreeOps (the
+  // reference engine's direct hook calls leave them 0). Each counted
+  // instruction arrives one way:
+  //   InstEvents + SegmentOps + ElidedOps == DynInstructions.
+  /// Events carrying one instruction each (Op, Load, Store, CondBranch).
+  uint64_t InstEvents = 0;
+  uint64_t SegmentEvents = 0;
+  /// Instructions the segment events folded.
+  uint64_t SegmentOps = 0;
+  /// Const instructions whose events the producer elided.
+  uint64_t ElidedOps = 0;
 };
 
 /// The HCPA runtime. One instance profiles one program execution.
@@ -128,6 +140,12 @@ public:
   /// dependence on A (induction/reduction update rule).
   void onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B, bool BreakDepA);
 
+  /// A whole straight-line run of register operations at once: the same
+  /// rows, level maxes, work and instruction count as the run's onOp calls
+  /// (see rt/Segment.h). \p S must come from a SegmentBuilder over this
+  /// runtime's latencies().
+  void onSegment(const SegmentSummary &S);
+
   void onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr);
   void onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr);
 
@@ -135,7 +153,10 @@ public:
   /// a no-op at decode time (single-writer constant materializations: their
   /// rows only ever read as time 0, exactly like untouched rows). The
   /// event stream elides them and reports the tally in bulk at each flush.
-  void noteFreeOps(uint64_t N) { Stats.DynInstructions += N; }
+  void noteFreeOps(uint64_t N) {
+    Stats.DynInstructions += N;
+    Stats.ElidedOps += N;
+  }
 
   // --- Batched event consumption ------------------------------------------
 
@@ -152,6 +173,8 @@ public:
 
   const RuntimeStats &stats() const { return Stats; }
   const KremlinConfig &config() const { return Cfg; }
+  /// Per-opcode latencies, as the hooks apply them.
+  const LatencyTable &latencies() const { return LatOf; }
   uint64_t shadowBytes() const { return Memory.allocatedBytes(); }
 
   /// True once a resource guardrail tripped (shadow byte budget, region
@@ -177,6 +200,14 @@ public:
     if (Level >= Cfg.MinLevel && Level - Cfg.MinLevel < Cfg.NumLevels)
       return LevelMaxTimes[Level - Cfg.MinLevel];
     return 0; // Outside the window no availability times are measured.
+  }
+  /// Register \p Reg's time at level slot \p Slot of the top frame, or -1
+  /// when the row is invalid there and reads 0 (testing aid).
+  int64_t regTime(ValueId Reg, unsigned Slot) const {
+    const Frame &F = curFrame();
+    return CurInstance[Slot] <= F.RowW[Reg]
+               ? static_cast<int64_t>(readRegTime(F, Reg, Slot))
+               : -1;
   }
 
 private:
@@ -273,7 +304,9 @@ private:
   /// activeSlots(), maintained at region enter/exit.
   unsigned SlotsActive = 0;
   /// Per-opcode latency, flattened from Cfg.Latency at construction.
-  unsigned LatOf[static_cast<size_t>(Opcode::RegionExit) + 1] = {};
+  LatencyTable LatOf;
+  /// onSegment's input snapshots, one NumLevels-wide row per input.
+  std::vector<Time> SegmentInputs;
 
   void refreshCdTop() {
     CdTop = (LiveFrames > 0 &&

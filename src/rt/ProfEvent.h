@@ -24,11 +24,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace kremlin {
 
 /// Discriminator for ProfEvent. Each kind maps 1:1 onto one KremlinRuntime
-/// hook; see consumeBatch() for the exact dispatch.
+/// hook; see consumeBatch() for the exact dispatch. The kinds that carry
+/// one instruction each come first (KremlinRuntime counts them by range).
 enum class EvKind : uint8_t {
   Op,           ///< onOp(Op, A=Dst, B=SrcA, C=SrcB, Flags&1=BreakDepA)
   Load,         ///< onLoad(A=Dst, B=AddrReg, Addr)
@@ -42,6 +44,7 @@ enum class EvKind : uint8_t {
   CopyParam,    ///< copyParamFromCaller(A=DstParam, B=SrcArgInCaller)
   CopyReturn,   ///< copyReturnToCaller(A=DstInCaller, B=SrcInCallee)
   ReleaseRange, ///< releaseShadowRange(Addr, Words=B | C<<32)
+  Segment,      ///< onSegment(*(const SegmentSummary *)object())
 };
 
 /// One profiling event. 24 bytes, trivially copyable; field use per kind is
@@ -57,7 +60,21 @@ struct ProfEvent {
   uint64_t Addr = 0;
 
   uint64_t words() const { return uint64_t(B) | (uint64_t(C) << 32); }
+
+  /// The object a Segment event points at, carried in Addr's bytes.
+  const void *object() const {
+    const void *P = nullptr;
+    std::memcpy(&P, &Addr, sizeof P);
+    return P;
+  }
+  void setObject(const void *P) {
+    Addr = 0;
+    std::memcpy(&Addr, &P, sizeof P);
+  }
 };
+
+static_assert(sizeof(const void *) <= sizeof(uint64_t),
+              "Addr must hold a pointer");
 
 static_assert(sizeof(ProfEvent) == 24, "keep the event record dense");
 

@@ -17,6 +17,8 @@
 
 #include "ir/Opcode.h"
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace kremlin {
@@ -62,6 +64,17 @@ struct LatencyModel {
     }
   }
 };
+
+/// Per-opcode latency, flattened from a LatencyModel for the hot paths.
+using LatencyTable =
+    std::array<unsigned, static_cast<size_t>(Opcode::RegionExit) + 1>;
+
+inline LatencyTable makeLatencyTable(const LatencyModel &M) {
+  LatencyTable T{};
+  for (size_t Op = 0; Op < T.size(); ++Op)
+    T[Op] = M.latencyFor(static_cast<Opcode>(Op));
+  return T;
+}
 
 } // namespace kremlin
 

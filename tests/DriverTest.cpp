@@ -68,6 +68,28 @@ TEST(Driver, ExecutionGaugesReportObservedUsage) {
             Bytes / NumLevels * Levels);
 }
 
+TEST(Driver, EventCountersConserveInstructions) {
+  // Every profiled instruction reaches the runtime exactly one way: its own
+  // event, a compound segment event, or the elided-constant tally. The
+  // registry counters are process-wide, so the test reads deltas.
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  const char *Names[] = {"rt.dyn_instructions", "rt.events",
+                         "rt.segment_events", "rt.segment_ops",
+                         "rt.elided_ops"};
+  uint64_t Delta[5];
+  for (int I = 0; I < 5; ++I)
+    Delta[I] = Reg.counter(Names[I]).value();
+  DriverResult R = profilePaperProgram("sp");
+  ASSERT_TRUE(R.succeeded());
+  for (int I = 0; I < 5; ++I)
+    Delta[I] = Reg.counter(Names[I]).value() - Delta[I];
+  auto [Dyn, Events, SegEvents, SegOps, Elided] = Delta;
+  EXPECT_EQ(Events + SegOps + Elided, Dyn);
+  EXPECT_GT(SegEvents, 0u);
+  EXPECT_GE(SegOps, 2 * SegEvents); // A segment folds two ops or more.
+  EXPECT_GT(SegOps, Events);        // sp is mostly straight-line arithmetic.
+}
+
 TEST(Driver, ParseErrorsPropagate) {
   KremlinDriver Driver;
   DriverResult R = Driver.runOnSource("int main( { return 0; }", "bad.c");

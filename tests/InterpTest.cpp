@@ -437,4 +437,77 @@ TEST(Tape, FusionPreservesProfiledSemantics) {
   EXPECT_EQ(A.Dict->roots(), B.Dict->roots());
 }
 
+const char *ChainSrc = R"(
+  int a[32];
+  int main() {
+    int x = 7;
+    for (int i = 0; i < 32; i = i + 1) {
+      x = x * 3 + i + 1;
+      x = x + x / 7;
+      x = x * 2 - x / 5;
+      a[i] = x % 1000;
+    }
+    return a[9];
+  }
+)";
+
+TEST(Tape, FoldsRegisterRunsIntoSegments) {
+  // With a latency table the decoder folds the loop body's arithmetic into
+  // one segment: its first emitting op is the head (X = segment index), the
+  // other emitting ops are members, elided constants stay free ops.
+  std::unique_ptr<Module> M = compileOrDie(ChainSrc);
+  instrumentModule(*M);
+  std::vector<uint64_t> GlobalBase(M->Globals.size(), 0);
+  LatencyTable Lat = makeLatencyTable(LatencyModel());
+  ModuleTape Plain(*M, GlobalBase);
+  ModuleTape Profiled(*M, GlobalBase, &Lat);
+  EXPECT_TRUE(tapeOf(M, Plain, "main").Segments.empty());
+  const TapeFunction &F = tapeOf(M, Profiled, "main");
+  ASSERT_FALSE(F.Segments.empty());
+  unsigned Heads = 0, Members = 0;
+  for (const TapeInst &I : F.Code) {
+    if (I.Flags & SegHeadFlag) {
+      ++Heads;
+      ASSERT_LT(I.X, F.Segments.size());
+      EXPECT_FALSE(I.Flags & (SegMemberFlag | NoEmitFlag));
+    }
+    if (I.Flags & SegMemberFlag) {
+      ++Members;
+      EXPECT_FALSE(I.Flags & NoEmitFlag);
+    }
+  }
+  EXPECT_EQ(Heads, F.Segments.size());
+  unsigned Folded = 0;
+  for (const SegmentSummary &S : F.Segments) {
+    EXPECT_GE(S.NumOps, 2u);
+    Folded += S.NumOps;
+  }
+  EXPECT_EQ(Heads + Members, Folded);
+}
+
+TEST(Tape, SegmentsFollowTheRuntimeLatencies) {
+  // One interpreter profiling under two latency models: the second run must
+  // not reuse summaries built for the first, so it matches the reference
+  // engine under its own model.
+  std::unique_ptr<Module> M = compileOrDie(ChainSrc);
+  instrumentModule(*M);
+  Interpreter Tape(*M);
+  InterpConfig RefCfg;
+  RefCfg.UseTape = false;
+  Interpreter Ref(*M, RefCfg);
+  for (unsigned Arith : {1u, 3u, 1u}) {
+    KremlinConfig Cfg;
+    Cfg.Latency.Arith = Arith;
+    DictionaryCompressor DA, DB;
+    KremlinRuntime A(Cfg, DA), B(Cfg, DB);
+    ASSERT_TRUE(Tape.run(&A).Ok);
+    ASSERT_TRUE(Ref.run(&B).Ok);
+    EXPECT_GT(A.stats().SegmentEvents, 0u);
+    EXPECT_EQ(A.stats().DynInstructions, B.stats().DynInstructions);
+    ASSERT_EQ(DA.alphabet().size(), DB.alphabet().size());
+    for (size_t C = 0; C < DA.alphabet().size(); ++C)
+      EXPECT_TRUE(DA.alphabet()[C] == DB.alphabet()[C]) << "arith " << Arith;
+  }
+}
+
 } // namespace

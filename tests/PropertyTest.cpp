@@ -229,6 +229,42 @@ TEST_P(PipelineProperty, TapeMatchesReferenceEngine) {
   }
 }
 
+/// The tape engine against the reference engine under a clipped depth
+/// window: compound segment events run at levels outside the window too,
+/// where no slot is active but rows, work and counts still move.
+void expectTapeMatchesReference(const std::string &Source,
+                                const KremlinConfig &Cfg) {
+  InterpConfig TapeCfg;
+  TapeCfg.UseTape = true;
+  InterpConfig RefCfg;
+  RefCfg.UseTape = false;
+  ProfiledRun A = profileSource(Source, Cfg, TapeCfg);
+  ProfiledRun B = profileSource(Source, Cfg, RefCfg);
+  EXPECT_EQ(A.Exec.DynInstructions, B.Exec.DynInstructions);
+  ASSERT_EQ(A.Dict->alphabet().size(), B.Dict->alphabet().size());
+  for (size_t C = 0; C < A.Dict->alphabet().size(); ++C)
+    EXPECT_TRUE(A.Dict->alphabet()[C] == B.Dict->alphabet()[C])
+        << "summary " << C << " diverges";
+  EXPECT_EQ(A.Dict->roots(), B.Dict->roots());
+}
+
+TEST_P(PipelineProperty, TapeMatchesReferenceEngineInShallowWindow) {
+  RandomProgram P(GetParam());
+  SCOPED_TRACE(P.source());
+  KremlinConfig Cfg;
+  Cfg.MinLevel = 1;
+  Cfg.NumLevels = 2;
+  expectTapeMatchesReference(P.source(), Cfg);
+}
+
+TEST_P(PipelineProperty, TapeMatchesReferenceEngineInOneLevel) {
+  RandomProgram P(GetParam());
+  SCOPED_TRACE(P.source());
+  KremlinConfig Cfg;
+  Cfg.NumLevels = 1;
+  expectTapeMatchesReference(P.source(), Cfg);
+}
+
 TEST_P(PipelineProperty, SummaryInvariants) {
   RandomProgram P(GetParam());
   ProfiledRun Run = profileSource(P.source());

@@ -2,7 +2,9 @@
 
 #include "TestUtil.h"
 
+#include "rt/Segment.h"
 #include "rt/ShadowMemory.h"
+#include "support/Prng.h"
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -516,6 +518,184 @@ TEST(Runtime, ConstWriteResetsRowWatermark) {
   ASSERT_EQ(Sink.Summaries.size(), 1u);
   EXPECT_EQ(Sink.Summaries[0].Work, 8u); // Consts are latency-free.
   EXPECT_EQ(Sink.Summaries[0].Cp, 7u);   // The dependent op ran off t=0.
+}
+
+// --- Compound segment events ------------------------------------------------
+
+/// Registers 0..11 take part in runs; 12..15 are written only by elided
+/// constants, so their rows read 0 in every slot (the producer's elision
+/// precondition).
+constexpr ValueId SegRegs = 12;
+constexpr ValueId SegFrameRegs = 16;
+
+/// One random register run: aliasing destinations, BreakDepA, constants
+/// (some as a live-out's last definition), elided constants and dead
+/// temporaries, over a small register pool.
+std::vector<SegmentOp> randomRun(Prng &R) {
+  static const Opcode Ops[] = {Opcode::Add,   Opcode::Mul,      Opcode::Sub,
+                               Opcode::Move,  Opcode::Neg,      Opcode::CmpLT,
+                               Opcode::ConstInt, Opcode::PtrAdd, Opcode::Br};
+  std::vector<bool> LiveOut(SegRegs);
+  for (ValueId Reg = 0; Reg < SegRegs; ++Reg)
+    LiveOut[Reg] = R.nextBelow(3) != 0;
+  auto reg = [&]() { return static_cast<ValueId>(R.nextBelow(SegRegs)); };
+  auto operand = [&]() -> ValueId {
+    uint64_t K = R.nextBelow(8);
+    if (K == 0)
+      return SegRegs + static_cast<ValueId>(R.nextBelow(4)); // Elided const.
+    return reg();
+  };
+  std::vector<SegmentOp> Run;
+  size_t Len = 2 + R.nextBelow(14);
+  for (size_t I = 0; I < Len; ++I) {
+    SegmentOp O;
+    if (R.nextBelow(6) == 0) { // Elided constant materialization.
+      O.Op = Opcode::ConstInt;
+      O.Dst = SegRegs + static_cast<ValueId>(R.nextBelow(4));
+      O.Elided = true;
+      Run.push_back(O);
+      continue;
+    }
+    O.Op = Ops[R.nextBelow(sizeof(Ops) / sizeof(Ops[0]))];
+    if (O.Op == Opcode::Br && I + 1 != Len)
+      O.Op = Opcode::Add; // A branch can only end a run.
+    if (O.Op != Opcode::Br)
+      O.Dst = reg();
+    if (O.Op == Opcode::Move || O.Op == Opcode::Neg) {
+      O.A = operand();
+    } else if (O.Op != Opcode::ConstInt && O.Op != Opcode::Br) {
+      O.A = R.nextBelow(8) == 0 ? NoValue : operand();
+      O.B = R.nextBelow(8) == 0 ? NoValue : operand();
+    }
+    O.BreakDepA = O.A != NoValue && R.nextBelow(5) == 0;
+    if (O.Dst != NoValue)
+      O.LiveOut = LiveOut[O.Dst];
+    Run.push_back(O);
+  }
+  return Run;
+}
+
+TEST(Segment, MatchesPerOpHooks) {
+  // A folded run must leave exactly what its onOp calls leave: every
+  // live-out row (value and validity per slot), the running level max,
+  // work and instruction count, and the region summaries that follow.
+  // Prefixes vary the window (MinLevel deeper than the stack gives
+  // Slots == 0), retag the innermost slot so rows written before read as
+  // invalid, and open a control dependence.
+  struct Window {
+    unsigned MinLevel, NumLevels;
+  };
+  const Window Windows[] = {{0, 16}, {0, 1}, {1, 2}, {2, 16}, {6, 4}};
+  Prng R(2011);
+  for (int Trial = 0; Trial < 3000; ++Trial) {
+    SCOPED_TRACE(Trial);
+    KremlinConfig Cfg;
+    Cfg.MinLevel = Windows[Trial % 5].MinLevel;
+    Cfg.NumLevels = Windows[Trial % 5].NumLevels;
+    unsigned Depth = 1 + static_cast<unsigned>(R.nextBelow(5));
+    std::vector<SegmentOp> Run = randomRun(R);
+    std::vector<SegmentOp> Prefix;
+    for (int I = 0; I < 24; ++I) { // Random chains over the run's inputs.
+      SegmentOp O;
+      O.Op = Opcode::Add;
+      O.Dst = static_cast<ValueId>(R.nextBelow(SegRegs));
+      O.A = static_cast<ValueId>(R.nextBelow(SegRegs));
+      O.B = static_cast<ValueId>(R.nextBelow(SegRegs));
+      Prefix.push_back(O);
+    }
+    bool Retag = R.nextBelow(2) != 0;
+    bool Branch = R.nextBelow(2) != 0;
+
+    CaptureSink SinkA, SinkB;
+    KremlinRuntime A(Cfg, SinkA), B(Cfg, SinkB);
+    for (KremlinRuntime *RT : {&A, &B}) {
+      RT->pushFrame(SegFrameRegs);
+      for (unsigned L = 0; L < Depth; ++L) {
+        RT->enterRegion(L);
+        for (size_t I = L; I < Prefix.size(); I += Depth)
+          RT->onOp(Prefix[I].Op, Prefix[I].Dst, Prefix[I].A, Prefix[I].B,
+                   false);
+      }
+      if (Retag) {
+        RT->exitRegion(Depth - 1);
+        RT->enterRegion(Depth - 1);
+        RT->onOp(Opcode::Mul, 3, 4, 5, false);
+      }
+      if (Branch)
+        RT->onCondBranch(7, /*MergeBlock=*/9, /*PushBlock=*/8);
+    }
+
+    uint64_t Elided = 0;
+    for (const SegmentOp &O : Run) {
+      if (O.Elided)
+        ++Elided;
+      else
+        A.onOp(O.Op, O.Dst, O.A, O.B, O.BreakDepA);
+    }
+    A.noteFreeOps(Elided);
+    SegmentBuilder Builder(B.latencies());
+    SegmentSummary S = Builder.build(Run);
+    B.onSegment(S);
+    B.noteFreeOps(Elided);
+
+    std::vector<bool> Dead(SegFrameRegs, false);
+    for (const SegmentOp &O : Run)
+      if (O.Dst != NoValue)
+        Dead[O.Dst] = !O.LiveOut;
+    unsigned Slots =
+        Depth <= Cfg.MinLevel ? 0 : std::min(Depth - Cfg.MinLevel,
+                                              Cfg.NumLevels);
+    for (ValueId Reg = 0; Reg < SegFrameRegs; ++Reg)
+      for (unsigned Slot = 0; !Dead[Reg] && Slot < Slots; ++Slot)
+        ASSERT_EQ(A.regTime(Reg, Slot), B.regTime(Reg, Slot))
+            << "reg " << Reg << " slot " << Slot;
+    ASSERT_EQ(A.currentMaxTime(), B.currentMaxTime());
+    ASSERT_EQ(A.currentWork(), B.currentWork());
+    ASSERT_EQ(A.stats().DynInstructions, B.stats().DynInstructions);
+    EXPECT_EQ(B.stats().SegmentOps, S.NumOps);
+
+    // Live rows keep flowing into later ops and the region summaries.
+    for (KremlinRuntime *RT : {&A, &B}) {
+      for (ValueId Reg = 0; Reg < SegRegs; ++Reg)
+        if (!Dead[Reg])
+          RT->onOp(Opcode::Add, Reg, Reg, NoValue, false);
+      for (unsigned L = Depth; L-- > 0;)
+        RT->exitRegion(L);
+    }
+    ASSERT_EQ(SinkA.Summaries.size(), SinkB.Summaries.size());
+    for (size_t I = 0; I < SinkA.Summaries.size(); ++I) {
+      EXPECT_EQ(SinkA.Summaries[I].Work, SinkB.Summaries[I].Work);
+      EXPECT_EQ(SinkA.Summaries[I].Cp, SinkB.Summaries[I].Cp);
+    }
+  }
+}
+
+TEST(Segment, DeadTemporariesCostNoRow) {
+  // t = a * b; u = t + a; x = u - b with t and u used nowhere else: only
+  // x is a row, max(Cd + 3, a + 3, b + 3), and the level max takes it
+  // without terms of its own. 6 per-slot terms against the ops' 12.
+  LatencyTable Lat = makeLatencyTable(LatencyModel());
+  std::vector<SegmentOp> Run = {
+      {Opcode::Mul, 5, 1, 2, false, false, /*LiveOut=*/false},
+      {Opcode::Add, 6, 5, 1, false, false, /*LiveOut=*/false},
+      {Opcode::Sub, 7, 6, 2, false, false, /*LiveOut=*/true},
+  };
+  SegmentBuilder Builder(Lat);
+  SegmentSummary S = Builder.build(Run);
+  ASSERT_EQ(S.Rows.size(), 1u);
+  EXPECT_EQ(S.Rows[0].Reg, 7u);
+  EXPECT_EQ(S.Inputs, (std::vector<ValueId>{1, 2}));
+  ASSERT_EQ(S.Rows[0].E.End - S.Rows[0].E.Begin, 3u);
+  EXPECT_EQ(S.Terms[S.Rows[0].E.Begin + 2].Dist, 3u);
+  EXPECT_EQ(S.LevelMax.Begin, S.LevelMax.End);
+  EXPECT_EQ(S.NumOps, 3u);
+  EXPECT_EQ(S.Work, 3u);
+  EXPECT_EQ(S.perSlotTerms(), 6u);
+  EXPECT_EQ(perOpTerms(Run), 12u);
+  EXPECT_TRUE(foldsProfitably(S, Run));
+  // A single counted op never folds.
+  std::vector<SegmentOp> One = {Run[2]};
+  EXPECT_FALSE(foldsProfitably(Builder.build(One), One));
 }
 
 } // namespace
